@@ -21,10 +21,6 @@ import numpy as np
 
 MAX_DIMENSION = 12
 
-# Dense Cayley tables are cached up to this dimension; beyond it products
-# loop over nonzero coefficient pairs instead of allocating 2^n x 2^n tables.
-_DENSE_TABLE_MAX = 10
-
 # Concatenated-digit blade keys ("12" = {1,2}) are ambiguous once indices
 # reach 10, so the text form is limited to single-digit generators.
 TEXT_FORM_MAX = 9
@@ -90,29 +86,26 @@ def _blade_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+_MASKS = np.arange(1 << MAX_DIMENSION, dtype=np.int64)
 _POPCOUNT = np.array([bin(i).count("1") for i in range(1 << MAX_DIMENSION)], dtype=np.int64)
+_PARITY_SIGN = np.where(_POPCOUNT & 1, -1, 1).astype(np.int8)
 
 
 @lru_cache(maxsize=None)
 def _sign_table(n: int) -> np.ndarray:
-    """2^n x 2^n table of blade product signs."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    a = masks[:, None]
-    b = masks[None, :]
-    swaps = _POPCOUNT[a & b].copy()
-    shifted = a >> 1
-    while shifted.any():
-        swaps += _POPCOUNT[shifted & b]
-        shifted = shifted >> 1
-    table = np.where(swaps & 1, -1, 1).astype(np.int8)
-    table.flags.writeable = False
-    return table
+    """2^n x 2^n int8 table of blade product signs, filled row by row.
 
-
-@lru_cache(maxsize=None)
-def _xor_table(n: int) -> np.ndarray:
-    masks = np.arange(1 << n, dtype=np.int64)
-    table = (masks[:, None] ^ masks[None, :]).ravel()
+    _blade_sign counts |a & b| plus, for each j in b, the generators of a
+    above j.  The parity of that count is the parity of |b & r| with
+    r = a ^ c, where bit j of c is the parity of |a >> (j+1)|.
+    """
+    masks = _MASKS[: 1 << n]
+    c = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n):
+        c |= (_POPCOUNT[masks >> (j + 1)] & 1) << j
+    table = np.empty((1 << n, 1 << n), dtype=np.int8)
+    for a, r in enumerate(masks ^ c):
+        table[a] = _PARITY_SIGN[masks & r]
     table.flags.writeable = False
     return table
 
@@ -127,21 +120,12 @@ def _conj_signs(n: int) -> np.ndarray:
 
 
 def _product_coeffs(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    nnz_x = np.flatnonzero(x)
-    nnz_y = np.flatnonzero(y)
-    size = 1 << n
-    if nnz_x.size == 0 or nnz_y.size == 0:
-        return np.zeros(size)
-    if n <= _DENSE_TABLE_MAX and nnz_x.size * nnz_y.size >= size:
-        contrib = _sign_table(n) * np.outer(x, y)
-        return np.bincount(_xor_table(n), weights=contrib.ravel(), minlength=size)
-    out = np.zeros(size)
-    signs = _sign_table(n) if n <= _DENSE_TABLE_MAX else None
-    for a in nnz_x:
-        xa = x[a]
-        for b in nnz_y:
-            sign = signs[a, b] if signs is not None else _blade_sign(int(a), int(b))
-            out[a ^ b] += sign * xa * y[b]
+    """Coefficients of x y: row a of the sign table scatters x[a] * y to a ^ b."""
+    masks = _MASKS[: 1 << n]
+    signs = _sign_table(n)
+    out = np.zeros(1 << n)
+    for a in np.flatnonzero(x):
+        out[a ^ masks] += signs[a] * (x[a] * y)
     return out
 
 

@@ -28,6 +28,7 @@ from .config import ConfigError, ProblemSetup, build_problem, load_config
 from .engine import (
     ConvergenceError,
     SpaceSpec,
+    _grid_points,
     empirical_gamma,
     field_sup,
     fixed_point,
@@ -35,7 +36,6 @@ from .engine import (
     rb_apply,
 )
 from .lift import (
-    CliffordGridFunction,
     clifford_empirical_gamma,
     clifford_fixed_point,
     residual,
@@ -49,6 +49,8 @@ EXIT_OK = 0
 EXIT_GATE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
+
+_CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(value: float) -> str:
@@ -154,9 +156,12 @@ def _cmd_solve(args) -> int:
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if setup.scalar_mode:
-        _write_scalar(out_path, fmt, psi)
+        names, columns = ["value"], [psi.values]
     else:
-        _write_clifford(out_path, fmt, psi)
+        # Zero components are materialized on export: one column per blade.
+        names = [blade_key(mask) for mask in range(1 << psi.n)]
+        columns = [psi.component(mask).values for mask in range(1 << psi.n)]
+    _write_solution(out_path, fmt, _grid_points(psi.partition, psi.grid_m), names, columns)
 
     if not args.quiet:
         print(f"iterations: {iterations}")
@@ -167,43 +172,27 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _grid_xs(psi) -> np.ndarray:
-    return psi.xs if hasattr(psi, "xs") else psi.component(0).xs
-
-
-def _write_scalar(path: Path, fmt: str, psi) -> None:
-    xs = psi.xs
+def _write_solution(
+    path: Path, fmt: str, xs: np.ndarray, names: list[str], columns: list[np.ndarray]
+) -> None:
+    """Write one row per grid point; a lone `value` column is scalar mode."""
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for x, v in zip(xs, psi.values):
-                writer.writerow([_fmt(x), _fmt(v)])
+            writer.writerow(["x", *names])
+            # Format column by column, a block of rows at a time to bound memory.
+            for lo in range(0, len(xs), _CSV_BLOCK_ROWS):
+                block = slice(lo, lo + _CSV_BLOCK_ROWS)
+                text = [[_fmt(v) for v in col[block].tolist()] for col in [xs, *columns]]
+                writer.writerows(zip(*text))
+        return
+    xs_list = xs.tolist()
+    lists = [col.tolist() for col in columns]
+    if names == ["value"]:
+        rows = [{"x": x, "value": v} for x, v in zip(xs_list, lists[0])]
     else:
-        rows = [{"x": float(x), "value": float(v)} for x, v in zip(xs, psi.values)]
-        path.write_text(json.dumps(rows, indent=2) + "\n")
-
-
-def _write_clifford(path: Path, fmt: str, psi: CliffordGridFunction) -> None:
-    # Zero components are materialized on export: one column per blade.
-    masks = list(range(1 << psi.n))
-    columns = [psi.component(mask).values for mask in masks]
-    xs = _grid_xs(psi)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x"] + [blade_key(mask) for mask in masks])
-            for j, x in enumerate(xs):
-                writer.writerow([_fmt(x)] + [_fmt(col[j]) for col in columns])
-    else:
-        rows = [
-            {
-                "x": float(x),
-                "coeffs": {blade_key(mask): float(col[j]) for mask, col in zip(masks, columns)},
-            }
-            for j, x in enumerate(xs)
-        ]
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        rows = [{"x": x, "coeffs": dict(zip(names, vals))} for x, *vals in zip(xs_list, *lists)]
+    path.write_text(json.dumps(rows, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +260,29 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
         raise ConfigError("<solution>", f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("["):
-        rows = json.loads(text)
+        try:
+            rows = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError("<solution>", f"invalid JSON: {exc}") from exc
         if not rows:
             raise ConfigError("<solution>", "empty solution file")
-        xs = np.array([row["x"] for row in rows])
-        if "value" in rows[0]:
-            return ["value"], xs, np.array([[row["value"]] for row in rows])
-        keys = list(rows[0]["coeffs"])
-        data = np.array([[row["coeffs"][key] for key in keys] for row in rows])
+        try:
+            xs = np.array([row["x"] for row in rows], dtype=float)
+            if "value" in rows[0]:
+                return ["value"], xs, np.array([[row["value"]] for row in rows], dtype=float)
+            keys = list(rows[0]["coeffs"])
+            data = np.array([[row["coeffs"][key] for key in keys] for row in rows], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("<solution>", f"malformed solution rows: {exc!r}") from exc
         return keys, xs, data
     reader = csv.reader(text.splitlines())
     header = next(reader, None)
     if not header or header[0] != "x":
         raise ConfigError("<solution>", "expected a CSV header starting with 'x'")
-    body = [[float(cell) for cell in row] for row in reader if row]
-    matrix = np.array(body)
+    try:
+        matrix = np.array([[float(cell) for cell in row] for row in reader if row])
+    except ValueError as exc:
+        raise ConfigError("<solution>", f"malformed CSV body: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[1] != len(header):
         raise ConfigError("<solution>", "malformed CSV body")
     return header[1:], matrix[:, 0], matrix[:, 1:]
@@ -306,7 +303,7 @@ def _cmd_eval(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["x"] + names + ["source"])
     for x in points:
-        if x < lo or x > hi:
+        if not lo <= x <= hi:
             print(f"config error: x = {x:g} outside the domain [{lo:g}, {hi:g}]", file=sys.stderr)
             return EXIT_CONFIG
         idx = int(np.searchsorted(xs, x))

@@ -344,7 +344,10 @@ def _parse_space(spec: Any) -> SpaceSpec:
     kwargs = {}
     for name in ("k", "alpha", "p", "q", "s"):
         if name in spec:
-            kwargs[name] = spec[name]
+            value = spec[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"space.{name}", f"expected a number, got {type(value).__name__}")
+            kwargs[name] = value
     unknown = set(spec) - {"tag", "k", "alpha", "p", "q", "s"}
     if unknown:
         raise ConfigError(f"space.{sorted(unknown)[0]}", "unknown field")

@@ -234,26 +234,29 @@ class FixedPointResult:
 class _Segment:
     rows: slice
     pre_idx: np.ndarray | None  # grid indices of pre-images when aligned
-    q_vals: np.ndarray
     s_vals: np.ndarray
     pre_x: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Plan:
+    """The operator on one grid for K problems that differ only in q: segments
+    hold pullbacks and s once, row k of q_vals is the k-th q (one per blade)."""
+
     grid_m: int
-    aligned: bool
     xs: np.ndarray
     segments: tuple[_Segment, ...]
+    q_vals: np.ndarray  # shape (K, grid_m + 1)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
+    def apply(self, values: np.ndarray, row: int = 0) -> np.ndarray:
         out = np.empty(self.grid_m + 1)
+        q = self.q_vals[row]
         for seg in self.segments:
             if seg.pre_idx is not None:
                 pulled = values[seg.pre_idx]
             else:
                 pulled = np.interp(seg.pre_x, self.xs, values)
-            out[seg.rows] = seg.q_vals + seg.s_vals * pulled
+            out[seg.rows] = q[seg.rows] + seg.s_vals * pulled
         return out
 
 
@@ -269,7 +272,12 @@ def _owned_ranges(partition: AffinePartition, grid_m: int, h: float) -> list[sli
     return [slice(lo, hi + 1) for lo, hi in zip(starts, ends)]
 
 
-def _build_plan(params: RBParams, grid_m: int, mode: str) -> _Plan:
+def _build_plan(params, grid_m: int, mode: str, q_rows: Sequence[Sequence[Field]]) -> _Plan:
+    """Plan for `params` (anything exposing `partition` and `s`) with one row per q.
+
+    Each entry of `q_rows` holds one q field per tile; scalar problems pass
+    `(params.q,)`, lifted ones one tuple per blade.
+    """
     if mode not in ("auto", "aligned", "interp"):
         raise ValueError(f"mode must be 'auto', 'aligned' or 'interp', got {mode!r}")
     partition = params.partition
@@ -296,24 +304,26 @@ def _build_plan(params: RBParams, grid_m: int, mode: str) -> _Plan:
     use_idx = aligned and mode != "interp"
 
     segments = []
-    for (amap, (rows, pre_x, idx)), q_i, s_i in zip(zip(partition.maps, raw), params.q, params.s):
-        for name, entry in (("q", q_i), ("s", s_i)):
+    q_vals = np.empty((len(q_rows), grid_m + 1))
+    for i, (rows, pre_x, idx) in enumerate(raw):
+        for name, entry in [("q", q[i]) for q in q_rows] + [("s", params.s[i])]:
             if isinstance(entry, GridFunction) and (
                 entry.partition != partition or entry.grid_m != grid_m
             ):
                 raise ValueError(f"sampled {name} entries must live on the carrier grid")
         pre_idx = idx if use_idx else None
         points = xs[idx] if use_idx else pre_x
+        for k, q in enumerate(q_rows):
+            q_vals[k, rows] = _field_values(q[i], points, pre_idx, xs)
         segments.append(
             _Segment(
                 rows=rows,
                 pre_idx=pre_idx,
-                q_vals=_field_values(q_i, points, pre_idx, xs),
-                s_vals=_field_values(s_i, points, pre_idx, xs),
+                s_vals=_field_values(params.s[i], points, pre_idx, xs),
                 pre_x=points,
             )
         )
-    return _Plan(grid_m=grid_m, aligned=use_idx, xs=xs, segments=tuple(segments))
+    return _Plan(grid_m=grid_m, xs=xs, segments=tuple(segments), q_vals=q_vals)
 
 
 def rb_apply(params: RBParams, f: GridFunction, mode: str = "auto") -> GridFunction:
@@ -324,8 +334,40 @@ def rb_apply(params: RBParams, f: GridFunction, mode: str = "auto") -> GridFunct
     """
     if f.partition != params.partition:
         raise ValueError("f is sampled on a different partition")
-    plan = _build_plan(params, f.grid_m, mode)
+    plan = _build_plan(params, f.grid_m, mode, (params.q,))
     return GridFunction(params.partition, plan.apply(f.values))
+
+
+def _stop_threshold(tol: float, gamma: float, max_iter: int) -> float:
+    """Validate the iteration settings; the step size that stops a row."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    return math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
+
+
+def _iterate_row(
+    plan: _Plan, row: int, values: np.ndarray, gamma: float, threshold: float, max_iter: int
+) -> tuple[np.ndarray, int, float]:
+    """Banach iteration of one plan row: (values, iterations, error bound)."""
+    diff = math.inf
+    for iteration in range(1, max_iter + 1):
+        new_values = plan.apply(values, row)
+        diff = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if gamma == 0.0:
+            return values, iteration, 0.0
+        if diff <= threshold:
+            return values, iteration, diff * gamma / (1.0 - gamma)
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations (last step {diff:.3e}, "
+        f"needed {threshold:.3e})",
+        iterations=max_iter,
+        residual=diff,
+    )
 
 
 def fixed_point(
@@ -344,37 +386,16 @@ def fixed_point(
     sup-norm distance of the returned iterate to the fixed point by tol.
     gamma = 0 (all multipliers zero) makes T constant, so one step suffices.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    plan = _build_plan(params, grid_m, mode)
+    threshold = _stop_threshold(tol, gamma, max_iter)
+    plan = _build_plan(params, grid_m, mode, (params.q,))
     if initial is None:
         values = np.zeros(grid_m + 1)
     else:
         if initial.partition != params.partition or initial.grid_m != grid_m:
             raise ValueError("initial iterate must live on the carrier grid")
         values = initial.values
-    threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
-
-    diff = math.inf
-    for iteration in range(1, max_iter + 1):
-        new_values = plan.apply(values)
-        diff = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if gamma == 0.0:
-            return FixedPointResult(GridFunction(params.partition, values), iteration, 0.0)
-        if diff <= threshold:
-            bound = diff * gamma / (1.0 - gamma)
-            return FixedPointResult(GridFunction(params.partition, values), iteration, bound)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (last step {diff:.3e}, "
-        f"needed {threshold:.3e})",
-        iterations=max_iter,
-        residual=diff,
-    )
+    values, iterations, bound = _iterate_row(plan, 0, values, gamma, threshold, max_iter)
+    return FixedPointResult(GridFunction(params.partition, values), iterations, bound)
 
 
 def empirical_gamma(
@@ -387,7 +408,7 @@ def empirical_gamma(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    plan = _build_plan(params, grid_m, mode)
+    plan = _build_plan(params, grid_m, mode, (params.q,))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

@@ -3,8 +3,9 @@
 An algebra-valued grid function is a family of scalar components f_A indexed
 by blade masks, f = sum_A f_A e_A.  The lifted operator applies one scalar
 operator per blade direction with shared maps and shared real multipliers;
-no mixing happens between directions, so the fixed point is assembled from
-independent scalar solves and the contraction factor is unchanged.
+no mixing happens between directions.  Pullbacks and s values are therefore
+the same for every blade: one operator plan serves the whole problem, each
+blade's q is one row of it, and the contraction factor is the scalar one.
 
 Pointwise algebra (products, conjugation, paravector restriction) acts on
 the assembled functions grid point by grid point.
@@ -21,10 +22,10 @@ import numpy as np
 
 from .algebra import (
     Multivector,
-    _blade_sign,
     _check_dimension,
     _check_mask,
     _conj_signs,
+    _sign_table,
     blade_grade,
     blade_key,
     parse_blade_key,
@@ -35,10 +36,12 @@ from .engine import (
     GridFunction,
     RBParams,
     SpaceSpec,
+    _build_plan,
     _interpolation_polys,
-    fixed_point,
+    _iterate_row,
+    _stop_threshold,
+    empirical_gamma,
     norm,
-    rb_apply,
 )
 from .partition import AffinePartition, from_knots
 
@@ -175,12 +178,13 @@ class CliffordRBParams:
         return tuple(sorted(masks))
 
     def component_params(self, mask: int | str) -> RBParams:
-        mask = _as_mask(mask, self.n)
-        return RBParams(
-            self.partition,
-            tuple(blades.get(mask, 0.0) for blades in self.q),
-            self.s,
-        )
+        return RBParams(self.partition, self._q_row(_as_mask(mask, self.n)), self.s)
+
+    def _q_row(self, mask: int) -> tuple[Field, ...]:
+        return tuple(blades.get(mask, 0.0) for blades in self.q)
+
+    def _plan(self, grid_m: int, mode: str, masks: Sequence[int]):
+        return _build_plan(self, grid_m, mode, [self._q_row(mask) for mask in masks])
 
 
 @dataclass(frozen=True)
@@ -197,9 +201,10 @@ def clifford_rb_apply(
     if f.n != params.n or f.partition != params.partition:
         raise ValueError("function and parameters disagree on algebra or partition")
     masks = sorted(set(params.support) | set(f.components))
+    plan = params._plan(f.grid_m, mode, masks)
     comps = {
-        mask: rb_apply(params.component_params(mask), f.component(mask), mode)
-        for mask in masks
+        mask: GridFunction(params.partition, plan.apply(f.component(mask).values, row))
+        for row, mask in enumerate(masks)
     }
     return CliffordGridFunction(params.n, params.partition, f.grid_m, comps)
 
@@ -216,21 +221,20 @@ def clifford_fixed_point(
     """Solve each supported blade component with the scalar iteration.
 
     Blades with no q data stay identically zero and are skipped; they are
-    still materialized on export.  The error bound aggregates the component
-    bounds in the Euclidean blade norm.
+    still materialized on export.  Every blade iterates its own row of the
+    shared plan under the scalar stopping rule.  The error bound aggregates
+    the component bounds in the Euclidean blade norm.
     """
+    threshold = _stop_threshold(tol, gamma, max_iter)
+    masks = params.support
+    plan = params._plan(grid_m, mode, masks)
     comps: dict[int, GridFunction] = {}
     iterations: dict[int, int] = {}
     bound_sq = 0.0
-    for mask in params.support:
+    for row, mask in enumerate(masks):
         try:
-            result = fixed_point(
-                params.component_params(mask),
-                grid_m,
-                tol=tol,
-                gamma=gamma,
-                max_iter=max_iter,
-                mode=mode,
+            values, count, bound = _iterate_row(
+                plan, row, np.zeros(grid_m + 1), gamma, threshold, max_iter
             )
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -238,9 +242,9 @@ def clifford_fixed_point(
                 iterations=exc.iterations,
                 residual=exc.residual,
             ) from exc
-        comps[mask] = result.function
-        iterations[mask] = result.iterations
-        bound_sq += result.error_bound**2
+        comps[mask] = GridFunction(params.partition, values)
+        iterations[mask] = count
+        bound_sq += bound**2
     function = CliffordGridFunction(params.n, params.partition, grid_m, comps)
     return CliffordFixedPointResult(function, MappingProxyType(iterations), math.sqrt(bound_sq))
 
@@ -262,10 +266,12 @@ def residual(params: CliffordRBParams, psi: CliffordGridFunction, mode: str = "a
     """
     if psi.n != params.n or psi.partition != params.partition:
         raise ValueError("function and parameters disagree on algebra or partition")
+    masks = sorted(set(params.support) | set(psi.components))
+    plan = params._plan(psi.grid_m, mode, masks)
     total = np.zeros(psi.grid_m + 1)
-    for mask in sorted(set(params.support) | set(psi.components)):
-        component = psi.component(mask)
-        defect = component.values - rb_apply(params.component_params(mask), component, mode).values
+    for row, mask in enumerate(masks):
+        values = psi.component(mask).values
+        defect = values - plan.apply(values, row)
         total += defect**2
     return float(np.sqrt(np.max(total)))
 
@@ -275,35 +281,12 @@ def clifford_empirical_gamma(
 ) -> float:
     """Observed contraction factor of the lift in the norm sqrt(sum_A sup^2).
 
-    Probe pairs differ along a single blade direction, cycling through all
-    blades, with the pair drawn from the same seeded stream the scalar probe
-    uses.  Because the lift acts componentwise, these directions are extremal
-    for it: any pair's ratio is dominated by its worst component ratio, so
-    blade-directional probes reach the same supremum the scalar probe sees.
+    Per blade, T f_A - T g_A = s * (f_A - g_A) o L^-1 with the same s and
+    pullback for every blade, so the lift's factor in this norm is the
+    scalar one: this is the scalar probe on the shared-s operator (q = 0).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    masks = list(range(1 << params.n))
-    worst = 0.0
-    for trial in range(trials):
-        f_vals = rng.standard_normal(grid_m + 1)
-        g_vals = rng.standard_normal(grid_m + 1)
-        mask = masks[trial % len(masks)]
-        f = CliffordGridFunction(
-            params.n, params.partition, grid_m, {mask: GridFunction(params.partition, f_vals)}
-        )
-        g = CliffordGridFunction(
-            params.n, params.partition, grid_m, {mask: GridFunction(params.partition, g_vals)}
-        )
-        diff = f - g
-        denom = math.sqrt(sum(c.sup_norm() ** 2 for c in diff.components.values()))
-        if denom == 0.0:
-            continue
-        out_diff = clifford_rb_apply(params, f, mode) - clifford_rb_apply(params, g, mode)
-        numer = math.sqrt(sum(c.sup_norm() ** 2 for c in out_diff.components.values()))
-        worst = max(worst, numer / denom)
-    return worst
+    linear = RBParams(params.partition, (0.0,) * params.partition.size, params.s)
+    return empirical_gamma(linear, grid_m, trials, seed, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +299,12 @@ def pointwise_product(
 ) -> CliffordGridFunction:
     """Grid-pointwise algebra product; the result is again algebra-valued."""
     f._check_compatible(g)
+    signs = _sign_table(f.n)
     out: dict[int, np.ndarray] = {}
     for a, fa in f.components.items():
         for b, gb in g.components.items():
-            sign = _blade_sign(a, b)
             target = a ^ b
-            contribution = sign * fa.values * gb.values
+            contribution = signs[a, b] * fa.values * gb.values
             if target in out:
                 out[target] = out[target] + contribution
             else:

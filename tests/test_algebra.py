@@ -103,6 +103,31 @@ def test_dimension_mismatch_raises():
         mv_mul(Multivector.scalar(1.0, 2), Multivector.scalar(1.0, 3))
 
 
+def test_mv_mul_n11_dense_and_sparse_match_oracle(rng):
+    n = 11
+    size = 1 << n
+    x, y = rng.standard_normal(size), rng.standard_normal(size)
+    product = mv_mul(Multivector(n, x), Multivector(n, y)).coeffs
+    for target in rng.choice(size, 4, replace=False):
+        want = 0.0
+        for a in range(size):
+            sign, mask = blade_mul_oracle(a, a ^ int(target))
+            assert mask == target
+            want += sign * x[a] * y[a ^ target]
+        assert product[target] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    x, y = np.zeros(size), np.zeros(size)
+    x[rng.choice(size, 5, replace=False)] = rng.standard_normal(5)
+    y[rng.choice(size, 5, replace=False)] = rng.standard_normal(5)
+    want = np.zeros(size)
+    for a in np.flatnonzero(x):
+        for b in np.flatnonzero(y):
+            sign, mask = blade_mul_oracle(int(a), int(b))
+            want[mask] += sign * x[a] * y[b]
+    product = mv_mul(Multivector(n, x), Multivector(n, y)).coeffs
+    np.testing.assert_allclose(product, want, rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_associativity_random(n, rng):
     for _ in range(40):

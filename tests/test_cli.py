@@ -224,6 +224,22 @@ def test_eval_reads_json_solutions(tmp_path, capsys):
     assert float(values[1]) == pytest.approx(2.0, abs=1e-11)
 
 
+@pytest.mark.parametrize(
+    "name, content, at",
+    [
+        ("cell.csv", "x,value\r\n0,1\r\n0.5,oops\r\n1,2\r\n", "0.25"),
+        ("row.json", json.dumps([{"x": 0.0}, {"x": 1.0}]), "0.5"),
+        ("nan.csv", "x,value\r\n0,1\r\n1,2\r\n", "nan"),
+    ],
+    ids=["non-numeric-csv-cell", "json-row-without-values", "at-nan"],
+)
+def test_eval_bad_input_exits_2_with_config_error(tmp_path, capsys, name, content, at):
+    solution = tmp_path / name
+    solution.write_text(content)
+    assert main(["eval", str(solution), "--at", at]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_solve_outputs_are_byte_identical_across_runs(tmp_path, cli_env):
     cfg = write_config(tmp_path, FIF_CONFIG)
     outs = []

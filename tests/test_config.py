@@ -103,6 +103,7 @@ def test_defaults_are_filled():
         (lambda d: d.update(max_iter=0), "max_iter"),
         (lambda d: d.update(space={"tag": "Zp"}), "space"),
         (lambda d: d.update(space={"tag": "Lp"}), "space"),
+        (lambda d: d.update(space={"tag": "Lp", "p": True}), "space.p"),
         (lambda d: d.update(partition={"interval": [1.0, 0.0], "N": 2}), "partition.interval"),
         (lambda d: d.update(partition={"interval": [0.0, 1.0]}), "partition"),
         (

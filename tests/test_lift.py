@@ -144,6 +144,31 @@ def test_diagram_commutes_componentwise(rng):
         assert np.array_equal(lifted_then_applied.component(blade).values, scalar_out.values)
 
 
+def test_each_lifted_operator_call_builds_one_plan(monkeypatch):
+    from clifract import engine, lift
+
+    params, psi = solved(grid_m=64)
+    assert len(params.support) == 4
+    plans = []
+    original = engine._build_plan
+
+    def counting(*args, **kwargs):
+        plans.append(args)
+        return original(*args, **kwargs)
+
+    for module in (engine, lift):
+        monkeypatch.setattr(module, "_build_plan", counting)
+    for call in (
+        lambda: clifford_fixed_point(params, 64, tol=1e-12, gamma=0.4),
+        lambda: clifford_rb_apply(params, psi),
+        lambda: residual(params, psi),
+        lambda: clifford_empirical_gamma(params, 64, trials=8, seed=1),
+    ):
+        plans.clear()
+        call()
+        assert len(plans) == 1
+
+
 # ---------------------------------------------------------------------------
 # lifted fixed points
 # ---------------------------------------------------------------------------
