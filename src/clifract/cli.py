@@ -9,7 +9,8 @@ Exit codes: 0 success (for check: configured gate < 1), 1 failed gate check,
 2 configuration errors, 3 gate >= 1 on solve or non-convergence.  CSV output
 follows RFC 4180 with floats at 17 significant digits; identical configs and
 seeds produce byte-identical files.  CLIFRACT_OUTPUT_DIR, when set, anchors
-relative output paths.
+relative output paths.  With --quiet, solve and check skip the random
+contraction probe and the residual, which only their reports print.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +37,7 @@ from .engine import (
     gamma_gate,
     rb_apply,
 )
-from .lift import (
-    clifford_empirical_gamma,
-    clifford_fixed_point,
-    residual,
-)
+from .lift import clifford_empirical_gamma, clifford_fixed_point, residual
 
 __all__ = ["main"]
 
@@ -50,7 +48,7 @@ EXIT_GATE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-_CSV_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 4096
 
 
 def _fmt(value: float) -> str:
@@ -108,11 +106,11 @@ def _resolve_output(args, setup: ProblemSetup, fmt: str) -> Path:
     return path
 
 
-def _iteration_gamma(gate: float, sup_factor: float) -> float:
-    # The stopping rule lives in the sup norm, whose exact grid Lipschitz
-    # constant is max ||s_i||; fall back to the (space) gate when that
-    # exceeds 1 while the gate still certifies contraction.
-    return sup_factor if sup_factor < 1.0 else gate
+def _probe(setup: ProblemSetup) -> float:
+    """The seeded random contraction probe of the problem's operator."""
+    cfg = setup.config
+    probe = empirical_gamma if setup.scalar_mode else clifford_empirical_gamma
+    return probe(setup.params, cfg.grid_m, cfg.trials, cfg.seed)
 
 
 def _cmd_solve(args) -> int:
@@ -129,30 +127,20 @@ def _cmd_solve(args) -> int:
         )
         return EXIT_NO_CONVERGENCE
 
-    gamma = _iteration_gamma(gate, sup_factor)
+    # The stopping rule lives in the sup norm, whose exact grid Lipschitz
+    # constant is max ||s_i||; fall back to the (space) gate when that
+    # exceeds 1 while the gate still certifies contraction.
+    gamma = sup_factor if sup_factor < 1.0 else gate
     fmt = args.format or (cfg.output or {}).get("format") or "csv"
     out_path = _resolve_output(args, setup, fmt)
 
+    solver = fixed_point if setup.scalar_mode else clifford_fixed_point
     try:
-        if setup.scalar_mode:
-            result = fixed_point(
-                params, cfg.grid_m, tol=cfg.tol, gamma=gamma, max_iter=cfg.max_iter
-            )
-            psi = result.function
-            iterations = result.iterations
-            resid = float(np.max(np.abs(rb_apply(params, psi).values - psi.values)))
-            empirical = empirical_gamma(params, cfg.grid_m, cfg.trials, cfg.seed)
-        else:
-            lifted = clifford_fixed_point(
-                params, cfg.grid_m, tol=cfg.tol, gamma=gamma, max_iter=cfg.max_iter
-            )
-            psi = lifted.function
-            iterations = max(lifted.iterations.values(), default=1)
-            resid = residual(params, psi)
-            empirical = clifford_empirical_gamma(params, cfg.grid_m, cfg.trials, cfg.seed)
+        result = solver(params, cfg.grid_m, tol=cfg.tol, gamma=gamma, max_iter=cfg.max_iter)
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    psi = result.function
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if setup.scalar_mode:
@@ -164,9 +152,15 @@ def _cmd_solve(args) -> int:
     _write_solution(out_path, fmt, _grid_points(psi.partition, psi.grid_m), names, columns)
 
     if not args.quiet:
+        if setup.scalar_mode:
+            iterations = result.iterations
+            resid = float(np.max(np.abs(rb_apply(params, psi).values - psi.values)))
+        else:
+            iterations = max(result.iterations.values(), default=1)
+            resid = residual(params, psi)
         print(f"iterations: {iterations}")
         print(f"gamma[{cfg.space.tag}]: {_fmt(gate)}")
-        print(f"empirical gamma: {_fmt(empirical)}")
+        print(f"empirical gamma: {_fmt(_probe(setup))}")
         print(f"residual: {_fmt(resid)}")
         print(f"output: {out_path}")
     return EXIT_OK
@@ -175,24 +169,32 @@ def _cmd_solve(args) -> int:
 def _write_solution(
     path: Path, fmt: str, xs: np.ndarray, names: list[str], columns: list[np.ndarray]
 ) -> None:
-    """Write one row per grid point; a lone `value` column is scalar mode."""
+    """Write one row per grid point; a lone `value` column is scalar mode.
+
+    Blocks of rows bound the memory. The bytes are those of `csv.writer` with
+    `format(v, ".17g")` cells, or of `json.dumps(rows, indent=2) + "\n"`.
+    """
+    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(xs), _BLOCK_ROWS)]
     if fmt == "csv":
+        row = ",".join(["%.17g"] * (1 + len(columns))) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", *names])
-            # Format column by column, a block of rows at a time to bound memory.
-            for lo in range(0, len(xs), _CSV_BLOCK_ROWS):
-                block = slice(lo, lo + _CSV_BLOCK_ROWS)
-                text = [[_fmt(v) for v in col[block].tolist()] for col in [xs, *columns]]
-                writer.writerows(zip(*text))
+            csv.writer(fh).writerow(["x", *names])
+            for block in blocks:
+                cells = np.column_stack([xs[block], *(col[block] for col in columns)])
+                fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
         return
-    xs_list = xs.tolist()
-    lists = [col.tolist() for col in columns]
-    if names == ["value"]:
-        rows = [{"x": x, "value": v} for x, v in zip(xs_list, lists[0])]
-    else:
-        rows = [{"x": x, "coeffs": dict(zip(names, vals))} for x, *vals in zip(xs_list, *lists)]
-    path.write_text(json.dumps(rows, indent=2) + "\n")
+    with open(path, "w") as fh:
+        fh.write("[\n")
+        for k, block in enumerate(blocks):
+            xs_list = xs[block].tolist()
+            lists = [col[block].tolist() for col in columns]
+            if names == ["value"]:
+                rows = [{"x": x, "value": v} for x, v in zip(xs_list, lists[0])]
+            else:
+                rows = [{"x": x, "coeffs": dict(zip(names, vals))} for x, *vals in zip(xs_list, *lists)]
+            # Each block's items without its enclosing "[\n" and "\n]".
+            fh.write((",\n" if k else "") + json.dumps(rows, indent=2)[2:-2])
+        fh.write("\n]\n")
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +233,13 @@ def _cmd_check(args) -> int:
     cfg = setup.config
     params = setup.params
     configured = gamma_gate(cfg.space, params)
-    if setup.scalar_mode:
-        empirical = empirical_gamma(params, cfg.grid_m, cfg.trials, cfg.seed)
-    else:
-        empirical = clifford_empirical_gamma(params, cfg.grid_m, cfg.trials, cfg.seed)
 
     if not args.quiet:
         print(f"{'space':<28} {'gamma':<24} contraction")
         for spec in _report_spaces(cfg.space):
             value = gamma_gate(spec, params)
             print(f"{_space_label(spec):<28} {_fmt(value):<24} {'yes' if value < 1 else 'NO'}")
-        print(f"{'empirical (sup norm)':<28} {_fmt(empirical)}")
+        print(f"{'empirical (sup norm)':<28} {_fmt(_probe(setup))}")
     verdict = "passes" if configured < 1.0 else "FAILS"
     print(f"configured {_space_label(cfg.space)}: gamma = {_fmt(configured)} ({verdict})")
     return EXIT_OK if configured < 1.0 else EXIT_GATE_FAILED
@@ -255,35 +253,32 @@ def _cmd_check(args) -> int:
 def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Returns (column names, x grid, value matrix of shape (len(xs), cols))."""
     try:
-        text = path.read_text()
+        with open(path, newline="") as fh:
+            first = fh.readline()
+            while first.isspace():
+                first = fh.readline()
+            if first.lstrip().startswith("["):
+                rows = json.loads(first + fh.read())
+                xs = np.array([row["x"] for row in rows], dtype=float)
+                if "value" in rows[0]:
+                    return ["value"], xs, np.array([[row["value"]] for row in rows], dtype=float)
+                keys = list(rows[0]["coeffs"])
+                data = [[row["coeffs"][key] for key in keys] for row in rows]
+                return keys, xs, np.array(data, dtype=float)
+            header = next(csv.reader([first]), None)
+            if not header or header[0] != "x":
+                raise ConfigError("<solution>", "expected a CSV header starting with 'x'")
+            with warnings.catch_warnings():
+                # A header-only file warns "input contained no data"; its shape says so.
+                warnings.simplefilter("ignore")
+                matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ConfigError:
+        raise
     except OSError as exc:
         raise ConfigError("<solution>", f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        try:
-            rows = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError("<solution>", f"invalid JSON: {exc}") from exc
-        if not rows:
-            raise ConfigError("<solution>", "empty solution file")
-        try:
-            xs = np.array([row["x"] for row in rows], dtype=float)
-            if "value" in rows[0]:
-                return ["value"], xs, np.array([[row["value"]] for row in rows], dtype=float)
-            keys = list(rows[0]["coeffs"])
-            data = np.array([[row["coeffs"][key] for key in keys] for row in rows], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("<solution>", f"malformed solution rows: {exc!r}") from exc
-        return keys, xs, data
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if not header or header[0] != "x":
-        raise ConfigError("<solution>", "expected a CSV header starting with 'x'")
-    try:
-        matrix = np.array([[float(cell) for cell in row] for row in reader if row])
-    except ValueError as exc:
-        raise ConfigError("<solution>", f"malformed CSV body: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[1] != len(header):
+    except (IndexError, KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise ConfigError("<solution>", f"malformed solution file: {exc!r}") from exc
+    if matrix.shape[0] == 0 or matrix.shape[1] != len(header):
         raise ConfigError("<solution>", "malformed CSV body")
     return header[1:], matrix[:, 0], matrix[:, 1:]
 
@@ -298,6 +293,8 @@ def _cmd_eval(args) -> int:
         print("config error: --at expects at least one x value", file=sys.stderr)
         return EXIT_CONFIG
     names, xs, data = _read_solution(Path(args.solution))
+    if not np.all(np.diff(xs) > 0):
+        raise ConfigError("<solution>", "x must be strictly increasing")
     lo, hi = float(xs[0]), float(xs[-1])
 
     writer = csv.writer(sys.stdout)
@@ -306,13 +303,11 @@ def _cmd_eval(args) -> int:
         if not lo <= x <= hi:
             print(f"config error: x = {x:g} outside the domain [{lo:g}, {hi:g}]", file=sys.stderr)
             return EXIT_CONFIG
-        idx = int(np.searchsorted(xs, x))
-        if idx <= len(xs) - 1 and idx >= 0 and x == xs[idx]:
-            row, source = data[idx], "grid"
-        elif idx > 0 and x == xs[idx - 1]:
-            row, source = data[idx - 1], "grid"
+        # xs[right - 1] < x <= xs[right], since xs increases and lo <= x <= hi.
+        right = int(np.searchsorted(xs, x))
+        if x == xs[right]:
+            row, source = data[right], "grid"
         else:
-            right = idx if xs[idx] > x else idx + 1
             left = right - 1
             w = (x - xs[left]) / (xs[right] - xs[left])
             row, source = (1.0 - w) * data[left] + w * data[right], "interpolated"

@@ -13,6 +13,8 @@ the identity.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -53,15 +55,22 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+@contextmanager
+def _naming(label: str):
+    """Re-raise the library's ValueErrors as ConfigErrors that name `label`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(label, str(exc)) from exc
+
+
 def _require(data: Mapping, key: str, kind, where: str = ""):
     label = f"{where}.{key}" if where else key
     if key not in data:
         raise ConfigError(label, "missing required field")
     value = data[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(label, f"expected a number, got {type(value).__name__}")
-        return float(value)
+        return _number(value, label)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(label, f"expected an integer, got {type(value).__name__}")
@@ -71,15 +80,19 @@ def _require(data: Mapping, key: str, kind, where: str = ""):
     return value
 
 
+def _number(value: Any, label: str) -> float:
+    """A finite JSON number as a float; booleans, NaN and Infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(label, f"expected a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(label, "expected a finite number")
+    return float(value)
+
+
 def _number_list(value: Any, label: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(label, "expected a nonempty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{label}[{i}]", "expected a number")
-        out.append(float(item))
-    return out
+    return [_number(item, f"{label}[{i}]") for i, item in enumerate(value)]
 
 
 @dataclass(frozen=True)
@@ -160,11 +173,7 @@ class ProblemConfig:
         partition_spec = _parse_partition_spec(data["partition"]) if "partition" in data else None
         n_maps = None
         if partition_spec is not None:
-            n_maps = (
-                partition_spec["N"]
-                if "N" in partition_spec
-                else len(partition_spec["knots"]) - 1
-            )
+            n_maps = partition_spec.get("N") or len(partition_spec["knots"]) - 1
 
         fif_spec = _parse_fif_spec(data["fif"], n) if has_fif else None
         if fif_spec is not None:
@@ -207,12 +216,10 @@ class ProblemConfig:
 
 def load_config(path: str | Path) -> ProblemConfig:
     try:
-        text = Path(path).read_text()
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
     return ProblemConfig.from_dict(data)
 
@@ -250,10 +257,8 @@ def _parse_partition_spec(spec: Any) -> dict:
 
 
 def _parse_field_spec(spec: Any, label: str) -> Any:
-    if isinstance(spec, bool):
-        raise ConfigError(label, "expected a field spec")
-    if isinstance(spec, (int, float)):
-        return float(spec)
+    if isinstance(spec, (int, float)):  # booleans included, which _number refuses
+        return _number(spec, label)
     if isinstance(spec, Mapping):
         keys = set(spec)
         if keys == {"const"}:
@@ -282,10 +287,8 @@ def _parse_q_spec(spec: Any, n: int, n_maps: int | None) -> list:
         for key in sorted(entry):
             if not isinstance(key, str):
                 raise ConfigError(f"q[{i}]", f"blade keys must be strings, got {key!r}")
-            try:
+            with _naming(f"q[{i}].{key or '<scalar>'}"):
                 parse_blade_key(key, n)
-            except ValueError as exc:
-                raise ConfigError(f"q[{i}].{key or '<scalar>'}", str(exc)) from exc
             blades[key] = _parse_field_spec(entry[key], f"q[{i}].{key or '<scalar>'}")
         out.append(blades)
     return out
@@ -326,10 +329,8 @@ def _parse_fif_spec(spec: Any, n: int) -> dict:
         raise ConfigError("fif.y", "expected a nonempty object mapping blade keys to ordinates")
     table = {}
     for key in sorted(y):
-        try:
+        with _naming(f"fif.y.{key or '<scalar>'}"):
             parse_blade_key(key, n)
-        except ValueError as exc:
-            raise ConfigError(f"fif.y.{key or '<scalar>'}", str(exc)) from exc
         ys = _number_list(y[key], f"fif.y.{key or '<scalar>'}")
         if len(ys) != len(xs):
             raise ConfigError(f"fif.y.{key or '<scalar>'}", f"expected {len(xs)} ordinates")
@@ -344,10 +345,8 @@ def _parse_space(spec: Any) -> SpaceSpec:
     kwargs = {}
     for name in ("k", "alpha", "p", "q", "s"):
         if name in spec:
-            value = spec[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"space.{name}", f"expected a number, got {type(value).__name__}")
-            kwargs[name] = value
+            _number(spec[name], f"space.{name}")
+            kwargs[name] = spec[name]  # as given, so an integer index prints as one
     unknown = set(spec) - {"tag", "k", "alpha", "p", "q", "s"}
     if unknown:
         raise ConfigError(f"space.{sorted(unknown)[0]}", "unknown field")
@@ -401,13 +400,6 @@ class ProblemSetup:
         return self.config.scalar_mode
 
 
-def _build_partition(spec: dict) -> AffinePartition:
-    lo, hi = spec["interval"]
-    if "N" in spec:
-        return uniform_partition(lo, hi, spec["N"])
-    return from_knots(spec["knots"])
-
-
 def _build_field(spec: Any, partition: AffinePartition, grid_m: int, label: str) -> Field:
     if isinstance(spec, float):
         return spec
@@ -422,19 +414,31 @@ def _build_field(spec: Any, partition: AffinePartition, grid_m: int, label: str)
 
 
 def build_problem(config: ProblemConfig) -> ProblemSetup:
-    """Resolve a parsed config into partition and parameters, rechecking sizes."""
+    """Resolve a parsed config into partition and parameters, rechecking sizes.
+
+    Knots that give no valid partition (a slope that rounds to 1) are errors
+    of `fif.x` or `partition`; overflowing interpolation data, of `fif.y`.
+    """
     if config.fif is not None:
         x = config.fif["x"]
         s = [float(v) for v in config.s]
         if any(abs(v) >= 1.0 for v in s):
             raise ConfigError("s", "interpolation multipliers must satisfy |s_i| < 1")
-        if config.scalar_mode:
-            params: RBParams | CliffordRBParams = fif_from_data(x, config.fif["y"], s)
-            return ProblemSetup(config, params.partition, params)
-        params = clifford_fif_from_data(config.n, x, config.fif["y"], s)
+        with _naming("fif.x"):
+            from_knots(x)  # the partition the builders below make again
+        with _naming("fif.y"):
+            if config.scalar_mode:
+                params: RBParams | CliffordRBParams = fif_from_data(x, config.fif["y"], s)
+            else:
+                params = clifford_fif_from_data(config.n, x, config.fif["y"], s)
         return ProblemSetup(config, params.partition, params)
 
-    partition = _build_partition(config.partition)
+    layout = config.partition
+    with _naming("partition"):
+        if "N" in layout:
+            partition = uniform_partition(*layout["interval"], layout["N"])
+        else:
+            partition = from_knots(layout["knots"])
     n_maps = partition.size
     if len(config.s) != n_maps or len(config.q) != n_maps:
         raise ConfigError("q", f"expected {n_maps} q and s entries")

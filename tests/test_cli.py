@@ -2,12 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from clifract import fif_from_data, fixed_point
+from clifract import cli, clifford_empirical_gamma, empirical_gamma, fif_from_data, fixed_point
 from clifract.cli import main
+from clifract.config import build_problem, load_config
 
 CONSTANT_CONFIG = {
     "schema_version": 1,
@@ -263,3 +265,127 @@ def test_csv_uses_crlf_line_endings(tmp_path):
     main(["solve", str(cfg), "--output", str(out), "--quiet"])
     raw = out.read_bytes()
     assert raw.count(b"\r\n") == 18  # header + 17 sample rows
+
+
+@pytest.mark.parametrize(
+    "fif, field",
+    [
+        ({"x": [0.0, 1e-300, 1.0], "y": [0.0, 1.0, 0.0]}, "fif.x"),
+        ({"x": [0.0, 0.5, 1.0], "y": [0.0, float("nan"), 0.0]}, "fif.y"),
+    ],
+    ids=["slope-rounds-to-1", "nan-ordinate"],
+)
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_unbuildable_config_exits_2_naming_the_field(tmp_path, capsys, command, fif, field):
+    payload = dict(FIF_CONFIG, fif=fif)
+    cfg = tmp_path / "problem.json"
+    cfg.write_text(json.dumps(payload))  # NaN is written as the JSON constant NaN
+    assert main([command, str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
+def _diagnostics_raise(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a quiet run computed a diagnostic it does not print")
+
+    for name in ("empirical_gamma", "clifford_empirical_gamma", "rb_apply", "residual"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+@pytest.mark.parametrize("payload", [FIF_CONFIG, CONSTANT_CONFIG], ids=["scalar", "n2"])
+def test_quiet_runs_skip_the_probe_and_the_residual(tmp_path, monkeypatch, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert main(["solve", str(cfg), "--output", str(before), "--quiet"]) == 0
+    _diagnostics_raise(monkeypatch)
+    assert main(["solve", str(cfg), "--output", str(after), "--quiet"]) == 0
+    assert main(["check", str(cfg), "--quiet"]) == 0
+    assert after.read_bytes() == before.read_bytes()
+    assert capsys.readouterr().out.count("\n") == 1  # the verdict line of check
+
+
+@pytest.mark.parametrize("payload", [FIF_CONFIG, CONSTANT_CONFIG], ids=["scalar", "n2"])
+def test_reports_print_the_library_probe(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    setup = build_problem(load_config(cfg))
+    probe = empirical_gamma if setup.scalar_mode else clifford_empirical_gamma
+    conf = setup.config
+    expected = format(probe(setup.params, conf.grid_m, conf.trials, conf.seed), ".17g")
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
+    assert f"empirical gamma: {expected}\n" in capsys.readouterr().out
+    assert main(["check", str(cfg)]) == 0
+    assert f"{'empirical (sup norm)':<28} {expected}\n" in capsys.readouterr().out
+
+
+def _reference_csv(path, xs, names, columns):
+    """The writer the block formatter replaced: csv.writer, one format() per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", *names])
+        for row in zip(xs.tolist(), *(col.tolist() for col in columns)):
+            writer.writerow([format(v, ".17g") for v in row])
+
+
+def _solution_columns(n_blades):
+    """Two blocks and a partial one of rows, with signed zeros, subnormals and extremes."""
+    rng = np.random.default_rng(3)
+    rows = 2 * cli._BLOCK_ROWS + 3
+    xs = np.linspace(0.0, 1.0, rows)
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(n_blades)]
+    for col in columns:
+        col[:8] = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1 / 3]
+    return xs, columns
+
+
+@pytest.mark.parametrize("names", [["value"], ["", "1", "2", "12"]], ids=["scalar", "n2"])
+def test_csv_writer_matches_the_reference_writer_and_reads_back(tmp_path, names):
+    xs, columns = _solution_columns(len(names))
+    cli._write_solution(tmp_path / "fast.csv", "csv", xs, names, columns)
+    _reference_csv(tmp_path / "reference.csv", xs, names, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    read_names, read_xs, data = cli._read_solution(tmp_path / "fast.csv")
+    assert read_names == names
+    assert np.array_equal(read_xs, xs)
+    for k, col in enumerate(columns):
+        assert np.array_equal(data[:, k], col)
+        assert np.array_equal(np.signbit(data[:, k]), np.signbit(col))
+
+
+@pytest.mark.parametrize("names", [["value"], ["", "1", "2", "12"]], ids=["scalar", "n2"])
+def test_json_writer_matches_one_json_dumps(tmp_path, names):
+    xs, columns = _solution_columns(len(names))
+    cli._write_solution(tmp_path / "out.json", "json", xs, names, columns)
+    if names == ["value"]:
+        rows = [{"x": x, "value": v} for x, v in zip(xs.tolist(), columns[0].tolist())]
+    else:
+        lists = [col.tolist() for col in columns]
+        rows = [{"x": x, "coeffs": dict(zip(names, vals))} for x, *vals in zip(xs.tolist(), *lists)]
+    assert (tmp_path / "out.json").read_text() == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "x,value\r\n",
+        "x,value\r\n0,1\r\n0.5\r\n1,2\r\n",
+        "x,value\r\n0,1\r\n0.5,oops\r\n1,2\r\n",
+        "x,value\r\n0,1\r\n0.5,#2\r\n1,2\r\n",
+        "x,value\r\n1,1\r\n0,2\r\n",
+        b"\x89PNG\r\n\x1a\n\xff",
+        "[]",
+    ],
+    ids=["header-only", "ragged-row", "non-numeric-cell", "hash-in-cell", "x-decreasing", "binary", "empty-json"],
+)
+def test_malformed_solution_exits_2_without_warnings(tmp_path, capsys, content):
+    solution = tmp_path / "solution.csv"
+    if isinstance(content, bytes):
+        solution.write_bytes(content)
+    else:
+        solution.write_text(content, newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", str(solution), "--at", "0.5"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

@@ -112,14 +112,41 @@ def test_defaults_are_filled():
         ),
         (lambda d: d.update(q=[{"poly": [1.0]}]), "q"),
         (lambda d: d.update(q=[{"poly": [1.0], "const": 2.0}, {"const": 0.0}]), "q[0]"),
+        pytest.param(lambda d: d.update(q=[{"poly": [float("nan")]}, 1.0]), "q[0].poly[0]", id="nan-poly"),
+        pytest.param(lambda d: d.update(q=[float("nan"), 1.0]), "q[0]", id="nan-bare-q"),
+        pytest.param(lambda d: d.update(s=[float("inf"), 0.5]), "s[0]", id="inf-s"),
+        pytest.param(lambda d: d.update(tol=10**400), "tol", id="int-past-float-range"),
+        # The last four parse; building the partition or the interpolation data fails.
+        pytest.param(
+            lambda d: d.update(partition={"interval": [0.0, 1.0], "knots": [0.0, 1e-300, 1.0]}),
+            "partition",
+            id="knot-slope-rounds-to-1",
+        ),
+        pytest.param(
+            lambda d: _as_fif(d, [0.0, 1e-300, 1.0], [0.0, 1.0, 0.0]), "fif.x", id="fif-slope-rounds-to-1"
+        ),
+        pytest.param(
+            lambda d: _as_fif(d, [0.0, 0.5, 1.0], [0.0, float("nan"), 0.0]), "fif.y", id="nan-fif-y"
+        ),
+        pytest.param(
+            lambda d: _as_fif(d, [0.0, 0.5, 1.0], [1e308, -1e308, 1e308], s=[0.9, 0.9]),
+            "fif.y",
+            id="fif-coefficients-overflow",
+        ),
     ],
 )
 def test_errors_name_the_offending_field(mutation, field):
     raw = json.loads(json.dumps(SCALAR_CONFIG))
     mutation(raw)
     with pytest.raises(ConfigError) as excinfo:
-        ProblemConfig.from_dict(raw)
+        build_problem(ProblemConfig.from_dict(raw))
     assert excinfo.value.field.startswith(field)
+
+
+def _as_fif(raw, x, y, s=(0.5, 0.5)):
+    """Turn the scalar partition/q config into an interpolation problem."""
+    del raw["partition"], raw["q"]
+    raw.update(fif={"x": x, "y": y}, s=list(s))
 
 
 def test_fif_conflicts_with_partition():
