@@ -171,30 +171,29 @@ def _write_solution(
 ) -> None:
     """Write one row per grid point; a lone `value` column is scalar mode.
 
-    Blocks of rows bound the memory. The bytes are those of `csv.writer` with
-    `format(v, ".17g")` cells, or of `json.dumps(rows, indent=2) + "\n"`.
+    Blocks of rows bound the memory; each block is one row template applied
+    with `%`.  The bytes are those of `csv.writer` with `format(v, ".17g")`
+    cells, or of `json.dumps(rows, indent=2) + "\n"`, whose floats are
+    `float.__repr__`, the `%r` of a Python float.
     """
-    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(xs), _BLOCK_ROWS)]
     if fmt == "csv":
-        row = ",".join(["%.17g"] * (1 + len(columns))) + "\r\n"
-        with open(path, "w", newline="") as fh:
+        row, sep = ",".join(["%.17g"] * (1 + len(columns))) + "\r\n", ""
+    elif names == ["value"]:
+        row, sep = '  {\n    "x": %r,\n    "value": %r\n  }', ",\n"
+    else:
+        coeffs = ",\n".join(f"      {json.dumps(name)}: %r" for name in names)
+        row, sep = '  {\n    "x": %r,\n    "coeffs": {\n' + coeffs + "\n    }\n  }", ",\n"
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
             csv.writer(fh).writerow(["x", *names])
-            for block in blocks:
-                cells = np.column_stack([xs[block], *(col[block] for col in columns)])
-                fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
-        return
-    with open(path, "w") as fh:
-        fh.write("[\n")
-        for k, block in enumerate(blocks):
-            xs_list = xs[block].tolist()
-            lists = [col[block].tolist() for col in columns]
-            if names == ["value"]:
-                rows = [{"x": x, "value": v} for x, v in zip(xs_list, lists[0])]
-            else:
-                rows = [{"x": x, "coeffs": dict(zip(names, vals))} for x, *vals in zip(xs_list, *lists)]
-            # Each block's items without its enclosing "[\n" and "\n]".
-            fh.write((",\n" if k else "") + json.dumps(rows, indent=2)[2:-2])
-        fh.write("\n]\n")
+        else:
+            fh.write("[\n")
+        for lo in range(0, len(xs), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            cells = np.column_stack([xs[block], *(col[block] for col in columns)])
+            fh.write((sep if lo else "") + sep.join([row] * len(cells)) % tuple(cells.ravel().tolist()))
+        if fmt == "json":
+            fh.write("\n]\n")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ __all__ = ["ConfigError", "ProblemConfig", "ProblemSetup", "build_problem", "loa
 
 SCHEMA_VERSION = 1
 
+# The solver allocates several float64 arrays of (grid_M + 1) * 2^n cells
+# (one row per blade); this bound keeps each one at 512 MiB.
+MAX_GRID_CELLS = 1 << 26
+
 _TOP_LEVEL_KEYS = {
     "schema_version",
     "n",
@@ -162,6 +166,12 @@ class ProblemConfig:
         grid_m = _require(data, "grid_M", int)
         if grid_m < 2:
             raise ConfigError("grid_M", "must be at least 2")
+        if (grid_m + 1) << n > MAX_GRID_CELLS:
+            raise ConfigError(
+                "grid_M",
+                f"(grid_M + 1) * 2^n = {(grid_m + 1) << n} grid cells exceed the bound "
+                f"{MAX_GRID_CELLS} (512 MiB per float64 array)",
+            )
 
         has_fif = "fif" in data
         has_pq = "partition" in data or "q" in data

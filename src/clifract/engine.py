@@ -23,7 +23,6 @@ from numpy.polynomial import polynomial as P
 from .partition import AffinePartition
 
 __all__ = [
-    "AlignmentError",
     "ConvergenceError",
     "Field",
     "FixedPointResult",
@@ -45,10 +44,6 @@ __all__ = [
 # Pre-images further than this from the nearest grid index (in index units)
 # mark a non-aligned configuration.
 _ALIGN_ATOL = 1e-7
-
-
-class AlignmentError(ValueError):
-    """Raised when aligned mode is requested but pre-images miss the grid."""
 
 
 class ConvergenceError(RuntimeError):
@@ -231,33 +226,27 @@ class FixedPointResult:
 
 
 @dataclass(frozen=True)
-class _Segment:
-    rows: slice
-    pre_idx: np.ndarray | None  # grid indices of pre-images when aligned
-    s_vals: np.ndarray
-    pre_x: np.ndarray
-
-
-@dataclass(frozen=True)
 class _Plan:
-    """The operator on one grid for K problems that differ only in q: segments
-    hold pullbacks and s once, row k of q_vals is the k-th q (one per blade)."""
+    """The operator on one grid for K problems that differ only in q.
 
-    grid_m: int
+    Grid point j receives q_vals[k, j] + s_vals[j] * f(y_j), where y_j is the
+    pre-image of x_j under its tile's map: the grid value at pre_idx[j] when
+    every pre-image is a grid point, else f interpolated at pre_x[j].  Row k
+    of q_vals is the k-th q (one per blade).
+    """
+
     xs: np.ndarray
-    segments: tuple[_Segment, ...]
+    pre_idx: np.ndarray | None
+    pre_x: np.ndarray
+    s_vals: np.ndarray  # shape (grid_m + 1,)
     q_vals: np.ndarray  # shape (K, grid_m + 1)
 
     def apply(self, values: np.ndarray, row: int = 0) -> np.ndarray:
-        out = np.empty(self.grid_m + 1)
-        q = self.q_vals[row]
-        for seg in self.segments:
-            if seg.pre_idx is not None:
-                pulled = values[seg.pre_idx]
-            else:
-                pulled = np.interp(seg.pre_x, self.xs, values)
-            out[seg.rows] = q[seg.rows] + seg.s_vals * pulled
-        return out
+        if self.pre_idx is not None:
+            pulled = values[self.pre_idx]
+        else:
+            pulled = np.interp(self.pre_x, self.xs, values)
+        return self.q_vals[row] + self.s_vals * pulled
 
 
 def _owned_ranges(partition: AffinePartition, grid_m: int, h: float) -> list[slice]:
@@ -272,14 +261,13 @@ def _owned_ranges(partition: AffinePartition, grid_m: int, h: float) -> list[sli
     return [slice(lo, hi + 1) for lo, hi in zip(starts, ends)]
 
 
-def _build_plan(params, grid_m: int, mode: str, q_rows: Sequence[Sequence[Field]]) -> _Plan:
+def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan:
     """Plan for `params` (anything exposing `partition` and `s`) with one row per q.
 
     Each entry of `q_rows` holds one q field per tile; scalar problems pass
-    `(params.q,)`, lifted ones one tuple per blade.
+    `(params.q,)`, lifted ones one tuple per blade.  The pullback gathers
+    when every pre-image lands on the grid and interpolates otherwise.
     """
-    if mode not in ("auto", "aligned", "interp"):
-        raise ValueError(f"mode must be 'auto', 'aligned' or 'interp', got {mode!r}")
     partition = params.partition
     if grid_m < partition.size:
         raise ValueError(f"grid must have M >= N intervals: M={grid_m} < N={partition.size}")
@@ -287,46 +275,29 @@ def _build_plan(params, grid_m: int, mode: str, q_rows: Sequence[Sequence[Field]
     xs = _grid_points(partition, grid_m)
     ranges = _owned_ranges(partition, grid_m, h)
 
-    raw = []
-    aligned = True
-    for amap, rows in zip(partition.maps, ranges):
-        pre_x = amap.inverse(xs[rows])
-        t = (pre_x - partition.x_lo) / h
-        idx = np.rint(t).astype(np.int64)
-        if len(t) and (np.max(np.abs(t - idx)) >= _ALIGN_ATOL or idx.min() < 0 or idx.max() > grid_m):
-            aligned = False
-        raw.append((rows, pre_x, idx))
-    if mode == "aligned" and not aligned:
-        raise AlignmentError(
-            "pre-images of grid points miss the grid; use interpolation mode "
-            "or choose M so every tile width divides the grid"
-        )
-    use_idx = aligned and mode != "interp"
+    pre_x = np.concatenate([amap.inverse(xs[rows]) for amap, rows in zip(partition.maps, ranges)])
+    t = (pre_x - partition.x_lo) / h
+    idx = np.rint(t).astype(np.int64)
+    aligned = np.max(np.abs(t - idx)) < _ALIGN_ATOL and idx.min() >= 0 and idx.max() <= grid_m
+    pre_idx = idx if aligned else None
+    points = xs[idx] if aligned else pre_x
 
-    segments = []
+    s_vals = np.empty(grid_m + 1)
     q_vals = np.empty((len(q_rows), grid_m + 1))
-    for i, (rows, pre_x, idx) in enumerate(raw):
+    for i, rows in enumerate(ranges):
         for name, entry in [("q", q[i]) for q in q_rows] + [("s", params.s[i])]:
             if isinstance(entry, GridFunction) and (
                 entry.partition != partition or entry.grid_m != grid_m
             ):
                 raise ValueError(f"sampled {name} entries must live on the carrier grid")
-        pre_idx = idx if use_idx else None
-        points = xs[idx] if use_idx else pre_x
+        tile_idx = idx[rows] if aligned else None
         for k, q in enumerate(q_rows):
-            q_vals[k, rows] = _field_values(q[i], points, pre_idx, xs)
-        segments.append(
-            _Segment(
-                rows=rows,
-                pre_idx=pre_idx,
-                s_vals=_field_values(params.s[i], points, pre_idx, xs),
-                pre_x=points,
-            )
-        )
-    return _Plan(grid_m=grid_m, xs=xs, segments=tuple(segments), q_vals=q_vals)
+            q_vals[k, rows] = _field_values(q[i], points[rows], tile_idx, xs)
+        s_vals[rows] = _field_values(params.s[i], points[rows], tile_idx, xs)
+    return _Plan(xs=xs, pre_idx=pre_idx, pre_x=points, s_vals=s_vals, q_vals=q_vals)
 
 
-def rb_apply(params: RBParams, f: GridFunction, mode: str = "auto") -> GridFunction:
+def rb_apply(params: RBParams, f: GridFunction) -> GridFunction:
     """One application of the operator on f's grid.
 
     Every grid point y in tile i receives q_i(x) + s_i(x) f(x) with
@@ -334,7 +305,7 @@ def rb_apply(params: RBParams, f: GridFunction, mode: str = "auto") -> GridFunct
     """
     if f.partition != params.partition:
         raise ValueError("f is sampled on a different partition")
-    plan = _build_plan(params, f.grid_m, mode, (params.q,))
+    plan = _build_plan(params, f.grid_m, (params.q,))
     return GridFunction(params.partition, plan.apply(f.values))
 
 
@@ -378,7 +349,6 @@ def fixed_point(
     gamma: float,
     max_iter: int = 1000,
     initial: GridFunction | None = None,
-    mode: str = "auto",
 ) -> FixedPointResult:
     """Banach iteration f_{k+1} = T f_k from f_0 = 0 (or `initial`).
 
@@ -387,7 +357,7 @@ def fixed_point(
     gamma = 0 (all multipliers zero) makes T constant, so one step suffices.
     """
     threshold = _stop_threshold(tol, gamma, max_iter)
-    plan = _build_plan(params, grid_m, mode, (params.q,))
+    plan = _build_plan(params, grid_m, (params.q,))
     if initial is None:
         values = np.zeros(grid_m + 1)
     else:
@@ -398,9 +368,7 @@ def fixed_point(
     return FixedPointResult(GridFunction(params.partition, values), iterations, bound)
 
 
-def empirical_gamma(
-    params: RBParams, grid_m: int, trials: int, seed: int, mode: str = "auto"
-) -> float:
+def empirical_gamma(params: RBParams, grid_m: int, trials: int, seed: int) -> float:
     """Observed sup-norm contraction factor over seeded random pairs.
 
     Returns max ||Tf - Tg||_inf / ||f - g||_inf over `trials` pairs of
@@ -408,7 +376,7 @@ def empirical_gamma(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    plan = _build_plan(params, grid_m, mode, (params.q,))
+    plan = _build_plan(params, grid_m, (params.q,))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -443,6 +411,21 @@ def _interpolation_polys(
     return tuple(polys)
 
 
+def _fif_knots(x: Sequence[float], s: Sequence[float]) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Checked knots and multipliers of an interpolation problem."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim != 1 or len(xs) < 3:
+        raise ValueError("need at least 3 knots (N >= 2)")
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("knots must be strictly increasing")
+    scalars = tuple(float(v) for v in s)
+    if len(scalars) != len(xs) - 1:
+        raise ValueError(f"need one multiplier per subinterval: {len(xs) - 1}, got {len(scalars)}")
+    if any(abs(v) >= 1.0 for v in scalars):
+        raise ValueError("interpolation multipliers must satisfy |s_i| < 1")
+    return xs, scalars
+
+
 def fif_from_data(
     x: Sequence[float], y: Sequence[float], s: Sequence[float]
 ) -> RBParams:
@@ -453,19 +436,10 @@ def fif_from_data(
     """
     from .partition import from_knots
 
-    xs = np.asarray(x, dtype=float)
+    xs, scalars = _fif_knots(x, s)
     ys = np.asarray(y, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("x and y must be one-dimensional arrays of equal length")
-    if len(xs) < 3:
-        raise ValueError("need at least 3 data points (N >= 2)")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("data abscissae must be strictly increasing")
-    scalars = tuple(float(v) for v in s)
-    if len(scalars) != len(xs) - 1:
-        raise ValueError(f"need one multiplier per subinterval: {len(xs) - 1}, got {len(scalars)}")
-    if any(abs(v) >= 1.0 for v in scalars):
-        raise ValueError("interpolation multipliers must satisfy |s_i| < 1")
+    if ys.shape != xs.shape:
+        raise ValueError(f"expected {len(xs)} ordinates, got shape {ys.shape}")
     return RBParams(from_knots(xs), _interpolation_polys(xs, ys, scalars), scalars)
 
 

@@ -37,6 +37,7 @@ from .engine import (
     RBParams,
     SpaceSpec,
     _build_plan,
+    _fif_knots,
     _interpolation_polys,
     _iterate_row,
     _stop_threshold,
@@ -183,8 +184,8 @@ class CliffordRBParams:
     def _q_row(self, mask: int) -> tuple[Field, ...]:
         return tuple(blades.get(mask, 0.0) for blades in self.q)
 
-    def _plan(self, grid_m: int, mode: str, masks: Sequence[int]):
-        return _build_plan(self, grid_m, mode, [self._q_row(mask) for mask in masks])
+    def _plan(self, grid_m: int, masks: Sequence[int]):
+        return _build_plan(self, grid_m, [self._q_row(mask) for mask in masks])
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,13 @@ class CliffordFixedPointResult:
 
 
 def clifford_rb_apply(
-    params: CliffordRBParams, f: CliffordGridFunction, mode: str = "auto"
+    params: CliffordRBParams, f: CliffordGridFunction
 ) -> CliffordGridFunction:
     """Apply the scalar operator to every blade component independently."""
     if f.n != params.n or f.partition != params.partition:
         raise ValueError("function and parameters disagree on algebra or partition")
     masks = sorted(set(params.support) | set(f.components))
-    plan = params._plan(f.grid_m, mode, masks)
+    plan = params._plan(f.grid_m, masks)
     comps = {
         mask: GridFunction(params.partition, plan.apply(f.component(mask).values, row))
         for row, mask in enumerate(masks)
@@ -216,7 +217,6 @@ def clifford_fixed_point(
     tol: float,
     gamma: float,
     max_iter: int = 1000,
-    mode: str = "auto",
 ) -> CliffordFixedPointResult:
     """Solve each supported blade component with the scalar iteration.
 
@@ -227,7 +227,7 @@ def clifford_fixed_point(
     """
     threshold = _stop_threshold(tol, gamma, max_iter)
     masks = params.support
-    plan = params._plan(grid_m, mode, masks)
+    plan = params._plan(grid_m, masks)
     comps: dict[int, GridFunction] = {}
     iterations: dict[int, int] = {}
     bound_sq = 0.0
@@ -258,7 +258,7 @@ def clifford_norm_F(f: CliffordGridFunction, space: SpaceSpec) -> float:
     return math.sqrt(sum(norm(space, comp) ** 2 for comp in f.components.values()))
 
 
-def residual(params: CliffordRBParams, psi: CliffordGridFunction, mode: str = "auto") -> float:
+def residual(params: CliffordRBParams, psi: CliffordGridFunction) -> float:
     """Worst defect of the self-referential equation over tiles and grid points.
 
     Per blade, the defect array is psi_A - T_A psi_A; the returned value is
@@ -267,7 +267,7 @@ def residual(params: CliffordRBParams, psi: CliffordGridFunction, mode: str = "a
     if psi.n != params.n or psi.partition != params.partition:
         raise ValueError("function and parameters disagree on algebra or partition")
     masks = sorted(set(params.support) | set(psi.components))
-    plan = params._plan(psi.grid_m, mode, masks)
+    plan = params._plan(psi.grid_m, masks)
     total = np.zeros(psi.grid_m + 1)
     for row, mask in enumerate(masks):
         values = psi.component(mask).values
@@ -277,7 +277,7 @@ def residual(params: CliffordRBParams, psi: CliffordGridFunction, mode: str = "a
 
 
 def clifford_empirical_gamma(
-    params: CliffordRBParams, grid_m: int, trials: int, seed: int, mode: str = "auto"
+    params: CliffordRBParams, grid_m: int, trials: int, seed: int
 ) -> float:
     """Observed contraction factor of the lift in the norm sqrt(sum_A sup^2).
 
@@ -286,7 +286,7 @@ def clifford_empirical_gamma(
     scalar one: this is the scalar probe on the shared-s operator (q = 0).
     """
     linear = RBParams(params.partition, (0.0,) * params.partition.size, params.s)
-    return empirical_gamma(linear, grid_m, trials, seed, mode)
+    return empirical_gamma(linear, grid_m, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +349,7 @@ def clifford_fif_from_data(
     component solve matches the corresponding scalar solve bit for bit.
     """
     _check_dimension(n)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1 or len(xs) < 3:
-        raise ValueError("need at least 3 knots (N >= 2)")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    scalars = tuple(float(v) for v in s)
-    if len(scalars) != len(xs) - 1:
-        raise ValueError(f"need one multiplier per subinterval: {len(xs) - 1}, got {len(scalars)}")
-    if any(abs(v) >= 1.0 for v in scalars):
-        raise ValueError("interpolation multipliers must satisfy |s_i| < 1")
+    xs, scalars = _fif_knots(x, s)
     partition = from_knots(xs)
     per_blade: dict[int, tuple] = {}
     for key, data in y_by_blade.items():

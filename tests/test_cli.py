@@ -284,6 +284,17 @@ def test_unbuildable_config_exits_2_naming_the_field(tmp_path, capsys, command, 
     assert capsys.readouterr().err.startswith(f"config error: {field}")
 
 
+def test_solve_over_the_cell_bound_exits_2(tmp_path, monkeypatch, capsys):
+    def build_problem(config):
+        raise AssertionError("a config over the cell bound reached the allocating builder")
+
+    monkeypatch.setattr(cli, "build_problem", build_problem)
+    cfg = write_config(tmp_path, dict(CONSTANT_CONFIG, n=9, grid_M=2**17))
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid_M")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def _diagnostics_raise(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a quiet run computed a diagnostic it does not print")

@@ -116,6 +116,8 @@ def test_defaults_are_filled():
         pytest.param(lambda d: d.update(q=[float("nan"), 1.0]), "q[0]", id="nan-bare-q"),
         pytest.param(lambda d: d.update(s=[float("inf"), 0.5]), "s[0]", id="inf-s"),
         pytest.param(lambda d: d.update(tol=10**400), "tol", id="int-past-float-range"),
+        pytest.param(lambda d: d.update(n=9, grid_M=2**17), "grid_M", id="cells-over-bound-n9"),
+        pytest.param(lambda d: d.update(grid_M=2**26), "grid_M", id="cells-over-bound-scalar"),
         # The last four parse; building the partition or the interpolation data fails.
         pytest.param(
             lambda d: d.update(partition={"interval": [0.0, 1.0], "knots": [0.0, 1e-300, 1.0]}),
@@ -141,6 +143,11 @@ def test_errors_name_the_offending_field(mutation, field):
     with pytest.raises(ConfigError) as excinfo:
         build_problem(ProblemConfig.from_dict(raw))
     assert excinfo.value.field.startswith(field)
+
+
+def test_grid_cell_bound_admits_its_limit():
+    raw = dict(SCALAR_CONFIG, grid_M=2**26 - 1)  # exactly 2^26 cells; parsing allocates none
+    assert ProblemConfig.from_dict(raw).grid_m == 2**26 - 1
 
 
 def _as_fif(raw, x, y, s=(0.5, 0.5)):

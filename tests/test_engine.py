@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clifract import (
-    AlignmentError,
     ConvergenceError,
     GridFunction,
     Poly,
@@ -21,6 +20,7 @@ from clifract import (
     rb_apply,
     uniform_partition,
 )
+from clifract.engine import _build_plan
 
 from oracles import address_psi, trapezoid_lp
 
@@ -104,22 +104,66 @@ def test_rb_apply_pullback_is_exact_when_aligned():
     np.testing.assert_allclose(out.values[:5], (1.0 - 1e-9) * np.arange(0.0, 9.0, 2.0))
 
 
-def test_aligned_mode_rejects_incompatible_grid():
+def test_incompatible_grid_interpolates():
     part = from_knots([0.0, 0.25, 1.0])  # slope 3/4 cannot map the grid to itself
     params = constant_params(part, 1.0, 0.5)
-    f = GridFunction.zeros(part, 8)
-    with pytest.raises(AlignmentError):
-        rb_apply(params, f, mode="aligned")
-    rb_apply(params, f, mode="auto")  # falls back to interpolation
+    assert _build_plan(params, 8, (params.q,)).pre_idx is None
+    rb_apply(params, GridFunction.zeros(part, 8))
 
 
 def test_uniform_three_tiles_align_on_power_of_two_grid():
     # knots at thirds are off-grid, yet every pre-image is a grid point
     part = uniform_partition(0.0, 1.0, 3)
     params = RBParams(part, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    assert _build_plan(params, 1024, (params.q,)).pre_idx is not None
     f = GridFunction(part, np.arange(1025.0))
-    out = rb_apply(params, f, mode="aligned")
+    out = rb_apply(params, f)
     np.testing.assert_array_equal(out.values[:342], np.arange(0, 1024.5, 3.0))
+
+
+def _per_tile_apply(params, f, aligned):
+    """Reference operator, tile by tile: pull f back through L_i^-1 (a grid
+    lookup when aligned, linear interpolation otherwise), then q_i + s_i f."""
+    part, xs = params.partition, f.xs
+    h = part.span / f.grid_m
+    owner = part.locate(xs)
+    out = np.empty(f.grid_m + 1)
+    for i, amap in enumerate(part.maps):
+        rows = owner == i
+        pre = amap.inverse(xs[rows])
+        idx = np.rint((pre - part.x_lo) / h).astype(np.int64)
+
+        def at(entry):
+            if isinstance(entry, GridFunction):
+                return entry.values[idx] if aligned else np.interp(pre, xs, entry.values)
+            if isinstance(entry, Poly):
+                return entry(xs[idx] if aligned else pre)
+            return np.full(len(pre), float(entry))
+
+        out[rows] = at(params.q[i]) + at(params.s[i]) * at(f)
+    return out
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["fields", "sampled-q-s"])
+@pytest.mark.parametrize(
+    "part, m, aligned",
+    [
+        (uniform_partition(0.0, 1.0, 2), 64, True),
+        (uniform_partition(0.0, 1.0, 3), 1024, True),
+        (from_knots([0.0, 0.25, 1.0]), 256, False),
+    ],
+    ids=["aligned-uniform", "three-tiles-1024", "knots-0.25"],
+)
+def test_rb_apply_matches_a_per_tile_operator(part, m, aligned, sampled):
+    q = [Poly((0.3 * i, 1.0 - i)) if i % 2 == 0 else float(i) for i in range(part.size)]
+    s = [0.5 - 0.4 * i for i in range(part.size)]
+    if sampled:
+        q[0] = GridFunction.sample(part, m, lambda x: np.cos(5.0 * x))
+        s[-1] = GridFunction.sample(part, m, lambda x: 0.5 * np.sin(3.0 * x))
+    params = RBParams(part, tuple(q), tuple(s))
+    f = GridFunction.sample(part, m, lambda x: np.sin(7.0 * x) + x**2)
+    assert (_build_plan(params, m, (params.q,)).pre_idx is not None) == aligned
+    assert np.array_equal(rb_apply(params, f).values, _per_tile_apply(params, f, aligned))
 
 
 def test_interpolation_mode_bias_is_second_order():
@@ -129,7 +173,7 @@ def test_interpolation_mode_bias_is_second_order():
     errors = []
     for m in (64, 256):
         f = GridFunction.sample(part, m, exact)
-        out = rb_apply(params, f, mode="interp")
+        out = rb_apply(params, f)
         pulled = np.concatenate(
             [exact(amap.inverse(f.xs[part.locate(f.xs) == i])) for i, amap in enumerate(part.maps)]
         )
