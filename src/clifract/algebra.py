@@ -237,19 +237,8 @@ class Multivector:
 
     __abs__ = norm
 
-    def grade_part(self, grade: int) -> "Multivector":
-        keep = _POPCOUNT[: 1 << self.n] == grade
-        return Multivector(self.n, np.where(keep, self.coeffs, 0.0))
-
-    def grades(self) -> tuple[int, ...]:
-        present = np.flatnonzero(self.coeffs)
-        return tuple(sorted({blade_grade(int(m)) for m in present}))
-
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
-
-    def paravector_part(self) -> "Paravector":
-        return pv_project(self)
 
     # -- text form ----------------------------------------------------------
 

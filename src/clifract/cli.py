@@ -146,9 +146,10 @@ def _cmd_solve(args) -> int:
     if setup.scalar_mode:
         names, columns = ["value"], [psi.values]
     else:
-        # Zero components are materialized on export: one column per blade.
+        # One column per blade: stack rows, and one shared zero row for absent blades.
         names = [blade_key(mask) for mask in range(1 << psi.n)]
-        columns = [psi.component(mask).values for mask in range(1 << psi.n)]
+        rows, zero = dict(zip(psi.masks, psi.values)), np.zeros(psi.grid_m + 1)
+        columns = [rows.get(mask, zero) for mask in range(1 << psi.n)]
     _write_solution(out_path, fmt, _grid_points(psi.partition, psi.grid_m), names, columns)
 
     if not args.quiet:

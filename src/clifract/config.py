@@ -202,6 +202,8 @@ class ProblemConfig:
         if max_iter < 1:
             raise ConfigError("max_iter", "must be at least 1")
         seed = _require(data, "seed", int) if "seed" in data else 0
+        if seed < 0:
+            raise ConfigError("seed", "must be non-negative")
         trials = _require(data, "trials", int) if "trials" in data else 32
         if trials < 1:
             raise ConfigError("trials", "must be at least 1")

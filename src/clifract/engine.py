@@ -38,7 +38,6 @@ __all__ = [
     "gamma_gate",
     "norm",
     "rb_apply",
-    "sup_norm",
 ]
 
 # Pre-images further than this from the nearest grid index (in index units)
@@ -111,24 +110,10 @@ class GridFunction:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.partition, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.partition, self.values - other.values)
-
     def __mul__(self, factor: float) -> "GridFunction":
         return GridFunction(self.partition, self.values * float(factor))
 
     __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "GridFunction") -> None:
-        if not isinstance(other, GridFunction):
-            raise TypeError("expected a GridFunction")
-        if self.partition != other.partition or self.grid_m != other.grid_m:
-            raise ValueError("grid functions live on different grids")
 
     @classmethod
     def zeros(cls, partition: AffinePartition, grid_m: int) -> "GridFunction":
@@ -209,9 +194,6 @@ class RBParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
 
-    def sup_s(self) -> tuple[float, ...]:
-        return tuple(field_sup(entry, self.partition) for entry in self.s)
-
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -242,11 +224,18 @@ class _Plan:
     q_vals: np.ndarray  # shape (K, grid_m + 1)
 
     def apply(self, values: np.ndarray, row: int = 0) -> np.ndarray:
+        """T on one function with q row `row`, or on a (K, M+1) stack with q row k on row k."""
         if self.pre_idx is not None:
-            pulled = values[self.pre_idx]
-        else:
+            pulled = values.take(self.pre_idx, axis=-1)
+        elif values.ndim == 1:
             pulled = np.interp(self.pre_x, self.xs, values)
-        return self.q_vals[row] + self.s_vals * pulled
+        else:
+            # np.interp takes one row at a time, so a stacked row gets a lone row's bits.
+            pulled = np.empty(values.shape)
+            for k, row_values in enumerate(values):
+                pulled[k] = np.interp(self.pre_x, self.xs, row_values)
+        q = self.q_vals[row] if values.ndim == 1 else self.q_vals
+        return q + self.s_vals * pulled
 
 
 def _owned_ranges(partition: AffinePartition, grid_m: int, h: float) -> list[slice]:
@@ -531,10 +520,6 @@ def gamma_gate(space: SpaceSpec, params) -> float:
     if space.tag == "Bspq":
         return float(np.sum(lips ** ((1.0 / space.p - space.s) * space.q) * sups ** space.q))
     raise ValueError(f"unknown space tag {space.tag!r}")
-
-
-def sup_norm(f: GridFunction) -> float:
-    return f.sup_norm()
 
 
 def norm(space: SpaceSpec, f: GridFunction) -> float:

@@ -1,18 +1,22 @@
 """Componentwise lift of the scalar operator to algebra-valued functions.
 
-An algebra-valued grid function is a family of scalar components f_A indexed
-by blade masks, f = sum_A f_A e_A.  The lifted operator applies one scalar
-operator per blade direction with shared maps and shared real multipliers;
-no mixing happens between directions.  Pullbacks and s values are therefore
-the same for every blade: one operator plan serves the whole problem, each
-blade's q is one row of it, and the contraction factor is the scalar one.
+An algebra-valued grid function f = sum_A f_A e_A is stored as the sorted
+blade masks A of its support plus one read-only (K, M+1) array whose row k
+holds the samples of f_A for the k-th mask; absent blades are identically
+zero.  The lifted operator applies one scalar operator per blade direction
+with shared maps and shared real multipliers; no mixing happens between
+directions.  Pullbacks and s values are therefore the same for every blade:
+one operator plan serves the whole problem, each blade's q is one row of it,
+and one plan application acts on the whole stack.  The contraction factor
+is the scalar one.
 
 Pointwise algebra (products, conjugation, paravector restriction) acts on
-the assembled functions grid point by grid point.
+the stacked rows grid point by grid point.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -21,12 +25,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import (
+    _POPCOUNT,
     Multivector,
     _check_dimension,
     _check_mask,
     _conj_signs,
     _sign_table,
-    blade_grade,
     blade_key,
     parse_blade_key,
 )
@@ -68,52 +72,88 @@ def _as_mask(key: int | str, n: int) -> int:
     return mask
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CliffordGridFunction:
-    """Algebra-valued grid function; absent components are identically zero."""
+    """Algebra-valued grid function; absent components are identically zero.
+
+    `masks` is the sorted support, and row k of the read-only array `values`,
+    of shape (len(masks), M+1), holds the samples of the component masks[k].
+    """
 
     n: int
     partition: AffinePartition
     grid_m: int
-    components: Mapping[int, GridFunction]
+    masks: tuple[int, ...]
+    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        comps: dict[int, GridFunction] = {}
-        for key, comp in self.components.items():
-            mask = _as_mask(key, self.n)
+    def __init__(
+        self,
+        n: int,
+        partition: AffinePartition,
+        grid_m: int,
+        components: Mapping[int | str, GridFunction],
+    ) -> None:
+        _check_dimension(n)
+        rows: dict[int, np.ndarray] = {}
+        for key, comp in components.items():
+            mask = _as_mask(key, n)
             if not isinstance(comp, GridFunction):
                 raise ValueError(f"component {mask} must be a GridFunction")
-            if comp.partition != self.partition or comp.grid_m != self.grid_m:
+            if comp.partition != partition or comp.grid_m != grid_m:
                 raise ValueError(f"component {mask} is sampled on a different grid")
-            comps[mask] = comp
-        object.__setattr__(self, "components", MappingProxyType(dict(sorted(comps.items()))))
+            rows[mask] = comp.values
+        masks = sorted(rows)
+        for name, value in (("n", n), ("partition", partition), ("grid_m", grid_m)):
+            object.__setattr__(self, name, value)
+        self._set_stack(masks, np.array([rows[m] for m in masks]).reshape(len(masks), grid_m + 1))
+
+    def _with(self, masks: Sequence[int], values: np.ndarray) -> "CliffordGridFunction":
+        """The function on this grid and algebra whose row k of `values` belongs to masks[k]."""
+        f = copy.copy(self)
+        f._set_stack(masks, values)
+        return f
+
+    def _set_stack(self, masks: Sequence[int], values: np.ndarray) -> None:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zero(cls, n: int, partition: AffinePartition, grid_m: int) -> "CliffordGridFunction":
         return cls(n, partition, grid_m, {})
 
-    @classmethod
-    def from_scalar_function(cls, n: int, mask: int | str, f: GridFunction) -> "CliffordGridFunction":
-        return cls(n, f.partition, f.grid_m, {mask: f})
-
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(self.components)
+        return self.masks
+
+    @property
+    def components(self) -> Mapping[int, GridFunction]:
+        """The rows of the stack as read-only GridFunctions, keyed by mask."""
+        return MappingProxyType(
+            {mask: GridFunction(self.partition, row) for mask, row in zip(self.masks, self.values)}
+        )
 
     def component(self, mask: int | str) -> GridFunction:
         mask = _as_mask(mask, self.n)
-        comp = self.components.get(mask)
-        return comp if comp is not None else GridFunction.zeros(self.partition, self.grid_m)
+        if mask not in self.masks:
+            return GridFunction.zeros(self.partition, self.grid_m)
+        return GridFunction(self.partition, self.values[self.masks.index(mask)])
 
     def value_at(self, index: int) -> Multivector:
         """The multivector stored at grid index `index`."""
         if not 0 <= index <= self.grid_m:
             raise ValueError(f"grid index {index} out of range 0..{self.grid_m}")
         coeffs = np.zeros(1 << self.n)
-        for mask, comp in self.components.items():
-            coeffs[mask] = comp.values[index]
+        coeffs[list(self.masks)] = self.values[:, index]
         return Multivector(self.n, coeffs)
+
+    def _rows(self, masks: Sequence[int]) -> np.ndarray:
+        """The stack over `masks`, a sorted superset of the support; absent blades are zero rows."""
+        out = np.zeros((len(masks), self.grid_m + 1))
+        out[np.searchsorted(masks, self.masks)] = self.values
+        return out
 
     def _check_compatible(self, other: "CliffordGridFunction") -> None:
         if (
@@ -123,17 +163,16 @@ class CliffordGridFunction:
         ):
             raise ValueError("algebra-valued functions live on different grids or algebras")
 
-    def __sub__(self, other: "CliffordGridFunction") -> "CliffordGridFunction":
+    def _combine(self, other: "CliffordGridFunction", op) -> "CliffordGridFunction":
         self._check_compatible(other)
-        masks = set(self.components) | set(other.components)
-        comps = {m: self.component(m) - other.component(m) for m in masks}
-        return CliffordGridFunction(self.n, self.partition, self.grid_m, comps)
+        masks = sorted(set(self.masks) | set(other.masks))
+        return self._with(masks, op(self._rows(masks), other._rows(masks)))
+
+    def __sub__(self, other: "CliffordGridFunction") -> "CliffordGridFunction":
+        return self._combine(other, np.subtract)
 
     def __add__(self, other: "CliffordGridFunction") -> "CliffordGridFunction":
-        self._check_compatible(other)
-        masks = set(self.components) | set(other.components)
-        comps = {m: self.component(m) + other.component(m) for m in masks}
-        return CliffordGridFunction(self.n, self.partition, self.grid_m, comps)
+        return self._combine(other, np.add)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +240,9 @@ def clifford_rb_apply(
     """Apply the scalar operator to every blade component independently."""
     if f.n != params.n or f.partition != params.partition:
         raise ValueError("function and parameters disagree on algebra or partition")
-    masks = sorted(set(params.support) | set(f.components))
+    masks = sorted(set(params.support) | set(f.masks))
     plan = params._plan(f.grid_m, masks)
-    comps = {
-        mask: GridFunction(params.partition, plan.apply(f.component(mask).values, row))
-        for row, mask in enumerate(masks)
-    }
-    return CliffordGridFunction(params.n, params.partition, f.grid_m, comps)
+    return f._with(masks, plan.apply(f._rows(masks)))
 
 
 def clifford_fixed_point(
@@ -228,12 +263,12 @@ def clifford_fixed_point(
     threshold = _stop_threshold(tol, gamma, max_iter)
     masks = params.support
     plan = params._plan(grid_m, masks)
-    comps: dict[int, GridFunction] = {}
+    values = np.empty((len(masks), grid_m + 1))
     iterations: dict[int, int] = {}
     bound_sq = 0.0
     for row, mask in enumerate(masks):
         try:
-            values, count, bound = _iterate_row(
+            values[row], iterations[mask], bound = _iterate_row(
                 plan, row, np.zeros(grid_m + 1), gamma, threshold, max_iter
             )
         except ConvergenceError as exc:
@@ -242,10 +277,8 @@ def clifford_fixed_point(
                 iterations=exc.iterations,
                 residual=exc.residual,
             ) from exc
-        comps[mask] = GridFunction(params.partition, values)
-        iterations[mask] = count
         bound_sq += bound**2
-    function = CliffordGridFunction(params.n, params.partition, grid_m, comps)
+    function = CliffordGridFunction.zero(params.n, params.partition, grid_m)._with(masks, values)
     return CliffordFixedPointResult(function, MappingProxyType(iterations), math.sqrt(bound_sq))
 
 
@@ -266,14 +299,11 @@ def residual(params: CliffordRBParams, psi: CliffordGridFunction) -> float:
     """
     if psi.n != params.n or psi.partition != params.partition:
         raise ValueError("function and parameters disagree on algebra or partition")
-    masks = sorted(set(params.support) | set(psi.components))
+    masks = sorted(set(params.support) | set(psi.masks))
     plan = params._plan(psi.grid_m, masks)
-    total = np.zeros(psi.grid_m + 1)
-    for row, mask in enumerate(masks):
-        values = psi.component(mask).values
-        defect = values - plan.apply(values, row)
-        total += defect**2
-    return float(np.sqrt(np.max(total)))
+    values = psi._rows(masks)
+    defect = values - plan.apply(values)
+    return float(np.sqrt(np.max(np.sum(defect**2, axis=0))))
 
 
 def clifford_empirical_gamma(
@@ -300,35 +330,29 @@ def pointwise_product(
     """Grid-pointwise algebra product; the result is again algebra-valued."""
     f._check_compatible(g)
     signs = _sign_table(f.n)
-    out: dict[int, np.ndarray] = {}
-    for a, fa in f.components.items():
-        for b, gb in g.components.items():
-            target = a ^ b
-            contribution = signs[a, b] * fa.values * gb.values
-            if target in out:
-                out[target] = out[target] + contribution
-            else:
-                out[target] = contribution
-    comps = {mask: GridFunction(f.partition, arr) for mask, arr in out.items()}
-    return CliffordGridFunction(f.n, f.partition, f.grid_m, comps)
+    masks = sorted({a ^ b for a in f.masks for b in g.masks})
+    row_of = {mask: row for row, mask in enumerate(masks)}
+    # -0.0 + x is x for every x, so each row starts as its first term, sign bit included.
+    out = np.full((len(masks), f.grid_m + 1), -0.0)
+    # One pair of rows at a time: at n = 9 and M = 4096, scattering each row of f
+    # against all of g at once gave the same bits in 13.5 s against 4.1 s.
+    for a, fa in zip(f.masks, f.values):
+        for b, gb in zip(g.masks, g.values):
+            out[row_of[a ^ b]] += signs[a, b] * fa * gb
+    return f._with(masks, out)
 
 
 def pointwise_conj(f: CliffordGridFunction) -> CliffordGridFunction:
     """Grid-pointwise conjugation: per-blade sign flips."""
-    signs = _conj_signs(f.n)
-    comps = {
-        mask: GridFunction(f.partition, comp.values * signs[mask])
-        for mask, comp in f.components.items()
-    }
-    return CliffordGridFunction(f.n, f.partition, f.grid_m, comps)
+    signs = _conj_signs(f.n)[list(f.masks)]
+    return f._with(f.masks, f.values * signs[:, None])
 
 
 def pv_restrict(f: CliffordGridFunction) -> CliffordGridFunction:
     """Drop every component of grade >= 2; idempotent."""
-    comps = {
-        mask: comp for mask, comp in f.components.items() if blade_grade(mask) <= 1
-    }
-    return CliffordGridFunction(f.n, f.partition, f.grid_m, comps)
+    masks = np.array(f.masks, dtype=np.int64)
+    keep = _POPCOUNT[masks] <= 1
+    return f._with(masks[keep].tolist(), f.values[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,17 @@ def test_unbuildable_config_exits_2_naming_the_field(tmp_path, capsys, command, 
     assert capsys.readouterr().err.startswith(f"config error: {field}")
 
 
+@pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["report", "quiet"])
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, quiet):
+    cfg = write_config(tmp_path, dict(FIF_CONFIG, seed=-1))
+    out = tmp_path / "out.csv"
+    extra = ["--output", str(out)] if command == "solve" else []
+    assert main([command, str(cfg), *quiet, *extra]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed")
+    assert not out.exists()
+
+
 def test_solve_over_the_cell_bound_exits_2(tmp_path, monkeypatch, capsys):
     def build_problem(config):
         raise AssertionError("a config over the cell bound reached the allocating builder")

@@ -101,6 +101,7 @@ def test_defaults_are_filled():
         (lambda d: d.update(s=[0.5]), "s"),
         (lambda d: d.update(tol=0.0), "tol"),
         (lambda d: d.update(max_iter=0), "max_iter"),
+        (lambda d: d.update(seed=-1), "seed"),
         (lambda d: d.update(space={"tag": "Zp"}), "space"),
         (lambda d: d.update(space={"tag": "Lp"}), "space"),
         (lambda d: d.update(space={"tag": "Lp", "p": True}), "space.p"),

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from clifract import (
     empirical_gamma,
     fif_from_data,
     fixed_point,
+    from_knots,
     mv_mul,
     pointwise_conj,
     pointwise_product,
@@ -78,6 +80,23 @@ def test_value_at_assembles_multivectors():
     assert f.component("1") == GridFunction.zeros(part, 4)
     with pytest.raises(ValueError):
         f.value_at(9)
+
+
+def test_stack_is_read_only_and_holds_the_components():
+    _, psi = solved(grid_m=64)
+    assert psi.masks == psi.support == (0, 1, 2, 3)
+    assert psi.values.shape == (4, 65)
+    for row, (mask, comp) in zip(psi.values, psi.components.items()):
+        assert np.array_equal(row, comp.values)
+        assert np.array_equal(row, psi.component(mask).values)
+    with pytest.raises(ValueError):
+        psi.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        psi.components[1].values[0] = 1.0
+    with pytest.raises(ValueError):
+        psi.component(1).values[0] = 1.0
+    for result in (psi + psi, pointwise_product(psi, psi), pv_restrict(psi)):
+        assert not result.values.flags.writeable
 
 
 def test_params_component_extraction():
@@ -142,6 +161,29 @@ def test_diagram_commutes_componentwise(rng):
     for blade in blades:
         scalar_out = rb_apply(params.component_params(blade), comps[blade])
         assert np.array_equal(lifted_then_applied.component(blade).values, scalar_out.values)
+
+
+@pytest.mark.parametrize(
+    "knots, gathers", [([0.0, 0.5, 1.0], True), ([0.0, 0.3, 0.7, 1.0], False)], ids=["gather", "interp"]
+)
+def test_stacked_operator_matches_scalar_rows_bitwise(rng, knots, gathers):
+    # The whole-stack apply and residual against one scalar operator per blade,
+    # for a function whose support differs from the problem's.
+    part = from_knots(knots)
+    q = tuple({b: Poly(tuple(rng.standard_normal(2))) for b in ("", "1", "12")} for _ in knots[1:])
+    params = CliffordRBParams(2, part, q, tuple(0.4 - 0.2 * i for i in range(part.size)))
+    comps = {"1": GridFunction(part, rng.standard_normal(65)), "2": GridFunction(part, -np.zeros(65))}
+    f = CliffordGridFunction(2, part, 64, comps)
+    assert (params._plan(64, range(4)).pre_idx is not None) == gathers
+    out = clifford_rb_apply(params, f)
+    assert out.support == (0, 1, 2, 3)
+    total = np.zeros(65)
+    for mask in range(4):
+        scalar = rb_apply(params.component_params(mask), f.component(mask)).values
+        assert np.array_equal(out.component(mask).values, scalar)
+        assert np.array_equal(np.signbit(out.component(mask).values), np.signbit(scalar))
+        total += (f.component(mask).values - scalar) ** 2
+    assert residual(params, f) == float(np.sqrt(np.max(total)))
 
 
 def test_each_lifted_operator_call_builds_one_plan(monkeypatch):
@@ -350,6 +392,30 @@ def test_pointwise_product_is_associative(rng):
     right = pointwise_product(f, pointwise_product(g, h))
     for mask in range(4):
         assert np.max(np.abs(left.component(mask).values - right.component(mask).values)) < 1e-12
+
+
+def test_product_keeps_the_sign_of_negative_zero():
+    # The first term of a product blade is stored as it is: 0 * -2 stays -0.0.
+    part = uniform_partition(0.0, 1.0, 2)
+    f = CliffordGridFunction(2, part, 8, {"1": GridFunction.zeros(part, 8)})
+    g = CliffordGridFunction(2, part, 8, {"": GridFunction(part, np.full(9, -2.0))})
+    product = pointwise_product(f, g)
+    assert product.support == (0b01,)
+    values = product.component("1").values
+    assert np.all(values == 0.0) and np.all(np.signbit(values))
+
+
+@pytest.mark.parametrize(
+    "op, big",
+    [(pointwise_product, 1e200), (pointwise_product, 1.7e308), (operator.add, 1.7e308)],
+    ids=["product-1e200", "product-1.7e308", "sum-1.7e308"],
+)
+def test_overflowing_pointwise_results_raise(op, big):
+    part = uniform_partition(0.0, 1.0, 2)
+    comps = {"": GridFunction(part, np.full(9, big)), "1": GridFunction(part, np.ones(9))}
+    f = CliffordGridFunction(2, part, 8, comps)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        op(f, f)
 
 
 def test_pv_restrict_examples():
