@@ -38,6 +38,7 @@ __all__ = [
     "gamma_gate",
     "norm",
     "rb_apply",
+    "sup_norm",
 ]
 
 # Pre-images further than this from the nearest grid index (in index units)
@@ -194,6 +195,9 @@ class RBParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
 
+    def sup_s(self) -> tuple[float, ...]:
+        return tuple(field_sup(entry, self.partition) for entry in self.s)
+
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -227,13 +231,11 @@ class _Plan:
         """T on one function with q row `row`, or on a (K, M+1) stack with q row k on row k."""
         if self.pre_idx is not None:
             pulled = values.take(self.pre_idx, axis=-1)
-        elif values.ndim == 1:
-            pulled = np.interp(self.pre_x, self.xs, values)
         else:
             # np.interp takes one row at a time, so a stacked row gets a lone row's bits.
             pulled = np.empty(values.shape)
-            for k, row_values in enumerate(values):
-                pulled[k] = np.interp(self.pre_x, self.xs, row_values)
+            for index in np.ndindex(values.shape[:-1]):
+                pulled[index] = np.interp(self.pre_x, self.xs, values[index])
         q = self.q_vals[row] if values.ndim == 1 else self.q_vals
         return q + self.s_vals * pulled
 
@@ -520,6 +522,10 @@ def gamma_gate(space: SpaceSpec, params) -> float:
     if space.tag == "Bspq":
         return float(np.sum(lips ** ((1.0 / space.p - space.s) * space.q) * sups ** space.q))
     raise ValueError(f"unknown space tag {space.tag!r}")
+
+
+def sup_norm(f: GridFunction) -> float:
+    return f.sup_norm()
 
 
 def norm(space: SpaceSpec, f: GridFunction) -> float:

@@ -16,7 +16,6 @@ the stacked rows grid point by grid point.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -25,12 +24,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    _POPCOUNT,
     Multivector,
     _check_dimension,
     _check_mask,
     _conj_signs,
     _sign_table,
+    blade_grade,
     blade_key,
     parse_blade_key,
 )
@@ -103,22 +102,20 @@ class CliffordGridFunction:
                 raise ValueError(f"component {mask} is sampled on a different grid")
             rows[mask] = comp.values
         masks = sorted(rows)
-        for name, value in (("n", n), ("partition", partition), ("grid_m", grid_m)):
-            object.__setattr__(self, name, value)
-        self._set_stack(masks, np.array([rows[m] for m in masks]).reshape(len(masks), grid_m + 1))
+        stack = np.array([rows[m] for m in masks]).reshape(len(masks), grid_m + 1)
+        vars(self).update(vars(self._from_stack(n, partition, grid_m, masks, stack)))
 
-    def _with(self, masks: Sequence[int], values: np.ndarray) -> "CliffordGridFunction":
-        """The function on this grid and algebra whose row k of `values` belongs to masks[k]."""
-        f = copy.copy(self)
-        f._set_stack(masks, values)
-        return f
-
-    def _set_stack(self, masks: Sequence[int], values: np.ndarray) -> None:
+    @classmethod
+    def _from_stack(
+        cls, n: int, partition: AffinePartition, grid_m: int, masks: Sequence[int], values: np.ndarray
+    ) -> "CliffordGridFunction":
+        """The function whose component masks[k] is row k of `values`; takes `values` over."""
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
         values.flags.writeable = False
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "values", values)
+        f = object.__new__(cls)
+        vars(f).update(n=n, partition=partition, grid_m=grid_m, masks=tuple(masks), values=values)
+        return f
 
     @classmethod
     def zero(cls, n: int, partition: AffinePartition, grid_m: int) -> "CliffordGridFunction":
@@ -166,7 +163,8 @@ class CliffordGridFunction:
     def _combine(self, other: "CliffordGridFunction", op) -> "CliffordGridFunction":
         self._check_compatible(other)
         masks = sorted(set(self.masks) | set(other.masks))
-        return self._with(masks, op(self._rows(masks), other._rows(masks)))
+        values = op(self._rows(masks), other._rows(masks))
+        return self._from_stack(self.n, self.partition, self.grid_m, masks, values)
 
     def __sub__(self, other: "CliffordGridFunction") -> "CliffordGridFunction":
         return self._combine(other, np.subtract)
@@ -242,7 +240,7 @@ def clifford_rb_apply(
         raise ValueError("function and parameters disagree on algebra or partition")
     masks = sorted(set(params.support) | set(f.masks))
     plan = params._plan(f.grid_m, masks)
-    return f._with(masks, plan.apply(f._rows(masks)))
+    return f._from_stack(f.n, f.partition, f.grid_m, masks, plan.apply(f._rows(masks)))
 
 
 def clifford_fixed_point(
@@ -278,7 +276,7 @@ def clifford_fixed_point(
                 residual=exc.residual,
             ) from exc
         bound_sq += bound**2
-    function = CliffordGridFunction.zero(params.n, params.partition, grid_m)._with(masks, values)
+    function = CliffordGridFunction._from_stack(params.n, params.partition, grid_m, masks, values)
     return CliffordFixedPointResult(function, MappingProxyType(iterations), math.sqrt(bound_sq))
 
 
@@ -339,20 +337,20 @@ def pointwise_product(
     for a, fa in zip(f.masks, f.values):
         for b, gb in zip(g.masks, g.values):
             out[row_of[a ^ b]] += signs[a, b] * fa * gb
-    return f._with(masks, out)
+    return f._from_stack(f.n, f.partition, f.grid_m, masks, out)
 
 
 def pointwise_conj(f: CliffordGridFunction) -> CliffordGridFunction:
     """Grid-pointwise conjugation: per-blade sign flips."""
     signs = _conj_signs(f.n)[list(f.masks)]
-    return f._with(f.masks, f.values * signs[:, None])
+    return f._from_stack(f.n, f.partition, f.grid_m, f.masks, f.values * signs[:, None])
 
 
 def pv_restrict(f: CliffordGridFunction) -> CliffordGridFunction:
     """Drop every component of grade >= 2; idempotent."""
-    masks = np.array(f.masks, dtype=np.int64)
-    keep = _POPCOUNT[masks] <= 1
-    return f._with(masks[keep].tolist(), f.values[keep])
+    keep = [blade_grade(mask) <= 1 for mask in f.masks]
+    masks = [mask for mask, kept in zip(f.masks, keep) if kept]
+    return f._from_stack(f.n, f.partition, f.grid_m, masks, f.values[keep])
 
 
 # ---------------------------------------------------------------------------
