@@ -33,6 +33,9 @@ SCHEMA_VERSION = 1
 # The solver allocates several float64 arrays of (grid_M + 1) * 2^n cells
 # (one row per blade); this bound keeps each one at 512 MiB.
 MAX_GRID_CELLS = 1 << 26
+# The contraction probe draws trials * (grid_M + 1) samples twice over, one
+# trial at a time; this bound admits the default 32 trials on the largest grid.
+MAX_PROBE_SAMPLES = 32 * MAX_GRID_CELLS
 
 _TOP_LEVEL_KEYS = {
     "schema_version",
@@ -207,6 +210,12 @@ class ProblemConfig:
         trials = _require(data, "trials", int) if "trials" in data else 32
         if trials < 1:
             raise ConfigError("trials", "must be at least 1")
+        if trials * (grid_m + 1) > MAX_PROBE_SAMPLES:
+            raise ConfigError(
+                "trials",
+                f"trials * (grid_M + 1) = {trials * (grid_m + 1)} probe samples exceed "
+                f"the bound {MAX_PROBE_SAMPLES}",
+            )
         space = _parse_space(data["space"]) if "space" in data else SpaceSpec.ck(0)
         output = _parse_output(data["output"]) if "output" in data else None
 

@@ -236,8 +236,10 @@ class _Plan:
             pulled = np.empty(values.shape)
             for index in np.ndindex(values.shape[:-1]):
                 pulled[index] = np.interp(self.pre_x, self.xs, values[index])
-        q = self.q_vals[row] if values.ndim == 1 else self.q_vals
-        return q + self.s_vals * pulled
+        # Both branches give a fresh array, so finish in it: s * f + q has the bits of q + s * f.
+        pulled *= self.s_vals
+        pulled += self.q_vals[row] if values.ndim == 1 else self.q_vals
+        return pulled
 
 
 def _owned_ranges(partition: AffinePartition, grid_m: int, h: float) -> list[slice]:
@@ -316,9 +318,12 @@ def _iterate_row(
 ) -> tuple[np.ndarray, int, float]:
     """Banach iteration of one plan row: (values, iterations, error bound)."""
     diff = math.inf
+    # One step buffer for the whole loop: with apply finishing in place, a fresh
+    # step array per iteration made this loop 5-15% slower at M = 2^16.
+    step = np.empty(values.shape)
     for iteration in range(1, max_iter + 1):
         new_values = plan.apply(values, row)
-        diff = float(np.max(np.abs(new_values - values)))
+        diff = float(np.max(np.abs(np.subtract(new_values, values, out=step), out=step)))
         values = new_values
         if gamma == 0.0:
             return values, iteration, 0.0

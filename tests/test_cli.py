@@ -295,6 +295,14 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, quiet):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_trials_over_the_probe_bound_exit_2(tmp_path, capsys, command):
+    # Unbounded, the probe of this config's report would run for months.
+    cfg = write_config(tmp_path, dict(FIF_CONFIG, grid_M=4, trials=10**12))
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: trials")
+
+
 def test_solve_over_the_cell_bound_exits_2(tmp_path, monkeypatch, capsys):
     def build_problem(config):
         raise AssertionError("a config over the cell bound reached the allocating builder")

@@ -102,6 +102,7 @@ def test_defaults_are_filled():
         (lambda d: d.update(tol=0.0), "tol"),
         (lambda d: d.update(max_iter=0), "max_iter"),
         (lambda d: d.update(seed=-1), "seed"),
+        pytest.param(lambda d: d.update(trials=10**12), "trials", id="probe-samples-over-bound"),
         (lambda d: d.update(space={"tag": "Zp"}), "space"),
         (lambda d: d.update(space={"tag": "Lp"}), "space"),
         (lambda d: d.update(space={"tag": "Lp", "p": True}), "space.p"),
@@ -149,6 +150,14 @@ def test_errors_name_the_offending_field(mutation, field):
 def test_grid_cell_bound_admits_its_limit():
     raw = dict(SCALAR_CONFIG, grid_M=2**26 - 1)  # exactly 2^26 cells; parsing allocates none
     assert ProblemConfig.from_dict(raw).grid_m == 2**26 - 1
+
+
+def test_probe_bound_admits_its_limit():
+    raw = dict(SCALAR_CONFIG, grid_M=2**26 - 1, trials=32)  # exactly 32 * 2^26 probe samples
+    assert ProblemConfig.from_dict(raw).trials == 32
+    with pytest.raises(ConfigError) as excinfo:
+        ProblemConfig.from_dict(dict(raw, trials=33))
+    assert excinfo.value.field == "trials"
 
 
 def _as_fif(raw, x, y, s=(0.5, 0.5)):

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 
@@ -29,6 +30,8 @@ from clifract import (
     residual,
     uniform_partition,
 )
+from clifract import lift
+from oracles import blade_mul_oracle
 
 KNOTS = [0.0, 0.5, 1.0]
 DATASETS = {
@@ -436,3 +439,121 @@ def test_product_requires_matching_grids():
     g = CliffordGridFunction.zero(3, part, 8)
     with pytest.raises(ValueError):
         pointwise_product(f, g)
+
+
+# ---------------------------------------------------------------------------
+# the matrix representation behind large products
+# ---------------------------------------------------------------------------
+
+
+def gamma_matrix(n, mask):
+    """Gamma_mask as a dense complex matrix, read from the back table."""
+    _, back = lift._rep_tables(n)
+    d = back.shape[0]
+    signed = back[:, mask]
+    slots = 2 * d * d
+    slot = signed % slots
+    entry, imaginary = slot // 2, slot % 2
+    assert np.array_equal(entry // d, np.arange(d))  # one entry per row
+    matrix = np.zeros((d, d), dtype=complex)
+    matrix[entry // d, entry % d] = np.where(signed >= slots, -1, 1) * np.where(imaginary, 1j, 1)
+    return matrix
+
+
+def mask_pairs(n, rng):
+    size = 1 << n
+    if n <= 5:
+        return [(a, b) for a in range(size) for b in range(size)]
+    return [tuple(int(m) for m in rng.integers(0, size, 2)) for _ in range(500)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 12])
+def test_representation_matches_the_sign_oracle(n, rng):
+    gamma = functools.cache(lambda mask: gamma_matrix(n, mask))
+    pairs = mask_pairs(n, rng)
+    assert np.array_equal(gamma(0), np.eye(1 << ((n + 1) // 2)))
+    for a, b in pairs:
+        sign, c = blade_mul_oracle(a, b)
+        assert np.array_equal(gamma(a) @ gamma(b), sign * gamma(c)), (a, b)
+    for mask in {m for pair in pairs for m in pair} - {0}:
+        assert np.trace(gamma(mask)) == 0, mask
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 9, 12])
+def test_forward_table_lists_the_entries_of_the_back_table(n):
+    forward, back = lift._rep_tables(n)
+    size, d = 1 << n, back.shape[0]
+    slots = 2 * d * d
+    # back[r, A] is the signed slot of Gamma_A's entry in row r; forward lists
+    # the signed blades per slot, padded with the zero source 2 * 2^n.
+    from_back = sorted(
+        (int(signed % slots), int(mask + size * (signed >= slots)))
+        for mask in range(size) for signed in back[:, mask]
+    )
+    from_forward = sorted(
+        (slot, int(source))
+        for slot in range(slots) for source in forward[:, slot] if source != 2 * size
+    )
+    assert from_back == from_forward
+
+
+def random_function(n, grid_m, masks, rng):
+    part = uniform_partition(0.0, 1.0, 2)
+    values = rng.standard_normal((len(masks), grid_m + 1)) * rng.uniform(0.5, 20.0)
+    return CliffordGridFunction(
+        n, part, grid_m, {int(m): GridFunction(part, row) for m, row in zip(masks, values)}
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 9])
+@pytest.mark.parametrize("support", ["full", "sparse"])
+def test_matrix_path_agrees_with_the_pair_loop(n, support, rng):
+    size = 1 << n
+    if support == "full":
+        f_masks = g_masks = np.arange(size)
+    else:
+        f_masks = np.sort(rng.choice(size, size // 3 + 1, replace=False))
+        g_masks = np.sort(rng.choice(size, size // 5 + 2, replace=False))
+    f = random_function(n, 12, f_masks, rng)
+    g = random_function(n, 12, g_masks, rng)
+    masks = np.unique(np.bitwise_xor.outer(f_masks, g_masks))
+    exact = lift._pair_product(f, g, masks)
+    via_matrices = lift._matrix_product(f, g, masks)
+    bound = 1e-12 * size * np.max(np.abs(f.values)) * np.max(np.abs(g.values))
+    assert np.max(np.abs(via_matrices - exact)) <= bound
+
+
+@pytest.fixture
+def product_paths(monkeypatch):
+    """Record which kernel each pointwise_product call runs."""
+    taken = []
+    for name in ("_pair_product", "_matrix_product"):
+        kernel = getattr(lift, name)
+        def spy(*args, kernel=kernel, name=name):
+            taken.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(lift, name, spy)
+    return taken
+
+
+def test_small_products_stay_on_the_pair_loop_and_large_ones_use_matrices(product_paths, rng):
+    for n in (1, 2):
+        full = np.arange(1 << n)
+        f, g = random_function(n, 16, full, rng), random_function(n, 16, full, rng)
+        product = pointwise_product(f, g)
+        # The pair loop adds the terms of a blade in mv_mul's order, so the bits agree.
+        for j in range(17):
+            assert np.array_equal(product.value_at(j).coeffs, mv_mul(f.value_at(j), g.value_at(j)).coeffs)
+    assert product_paths == ["_pair_product"] * 2
+    product_paths.clear()
+    full = np.arange(1 << 9)
+    pointwise_product(random_function(9, 2, full, rng), random_function(9, 2, full, rng))
+    assert product_paths == ["_matrix_product"]
+
+
+def test_overflow_on_the_matrix_path_raises(product_paths):
+    part = uniform_partition(0.0, 1.0, 2)
+    f = CliffordGridFunction(9, part, 2, {m: GridFunction(part, np.full(3, 1e200)) for m in range(512)})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        pointwise_product(f, f)
+    assert product_paths == ["_matrix_product"]
