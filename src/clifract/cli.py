@@ -6,7 +6,8 @@ Commands:
   eval <solution> --at ...  look up solution values, interpolating off-grid
 
 Exit codes: 0 success (for check: configured gate < 1), 1 failed gate check,
-2 configuration errors, 3 gate >= 1 on solve or non-convergence.  CSV output
+2 configuration errors, 3 gate >= 1 on solve, no sup-norm certificate, or
+non-convergence.  CSV output
 follows RFC 4180 with floats at 17 significant digits; identical configs and
 seeds produce byte-identical files.  CLIFRACT_OUTPUT_DIR, when set, anchors
 relative output paths.  With --quiet, solve and check skip the random
@@ -31,6 +32,7 @@ from .engine import (
     ConvergenceError,
     SpaceSpec,
     _grid_points,
+    _sup_factor,
     empirical_gamma,
     field_sup,
     fixed_point,
@@ -127,10 +129,20 @@ def _cmd_solve(args) -> int:
         )
         return EXIT_NO_CONVERGENCE
 
-    # The stopping rule lives in the sup norm, whose exact grid Lipschitz
-    # constant is max ||s_i||; fall back to the (space) gate when that
-    # exceeds 1 while the gate still certifies contraction.
-    gamma = sup_factor if sup_factor < 1.0 else gate
+    # Aligned grids certify their stop by rho_N and do not read gamma.  The
+    # Banach rule of an interpolating grid needs its sup-norm factor below 1:
+    # sup_factor bounds the plan's exact max|s_vals| from above.
+    gamma = sup_factor
+    if not sup_factor < 1.0:
+        aligned, factor = _sup_factor(params, cfg.grid_m)
+        if not (aligned or factor < 1.0):
+            print(
+                f"no certificate: the sup-norm factor max|s| = {_fmt(factor)} >= 1 "
+                "on an interpolating grid; no output written",
+                file=sys.stderr,
+            )
+            return EXIT_NO_CONVERGENCE
+        gamma = 0.0 if aligned else factor
     fmt = args.format or (cfg.output or {}).get("format") or "csv"
     out_path = _resolve_output(args, setup, fmt)
 

@@ -7,8 +7,14 @@ of M intervals; when every pre-image of a grid point is itself a grid point
 ("aligned") the pullbacks are exact table lookups, otherwise they fall back
 to linear interpolation with O(M^-2) bias.
 
-Iteration always converges in the sup norm; the six per-space contraction
-constants are separate certificates evaluated by gamma_gate.
+The grid also chooses the solver, and both stop on a sup-norm certificate.
+On an aligned grid T^N v = A + B * v[P] has the shape of T, so pointer
+doubling reaches T^(2^k) in k steps, and rho_N = max|B| is the exact sup norm
+of the linear part of T^N: it certifies the stop even where some |s_i| >= 1.
+An interpolating grid runs Banach iteration under the caller's sup-norm
+factor gamma.  Iteration counts are Banach steps either way; on an aligned
+grid they are powers of two.  The six per-space contraction constants are
+separate certificates evaluated by gamma_gate.
 """
 
 from __future__ import annotations
@@ -44,10 +50,13 @@ __all__ = [
 # Pre-images further than this from the nearest grid index (in index units)
 # mark a non-aligned configuration.
 _ALIGN_ATOL = 1e-7
+# Rows per block of the doubling solver's gather scratch.
+_DOUBLING_BLOCK_ROWS = 32
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration hit max_iter; carries the last residual."""
+    """The solve found no certified stop within max_iter steps; carries the
+    step count reached and the last step size."""
 
     def __init__(self, message: str, *, iterations: int, residual: float):
         super().__init__(message)
@@ -337,6 +346,102 @@ def _iterate_row(
     )
 
 
+def _double_rows(
+    plan: _Plan, tol: float, max_iter: int, initial: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed points of every row of a gather plan by pointer doubling.
+
+    T^N v = A + B * v[P], with A = T^N 0 (one row per q row) and B, P shared
+    by all rows; T^2N is then A + B * A[:, P], B * B[P] and P[P].  rho_N =
+    max|B| is the sup norm of the linear part of T^N, so while rho_N < 1 the
+    iterate T^N v0 lies within rho_N * max|T^N v0 - v0| / (1 - rho_N) of the
+    fixed point.  A row stops at the first N = 2^k where that bound is
+    <= tol, and is not written again.  v0 is zero or the row `initial`.
+
+    Consumes the plan: A, B and P are its q_vals, s_vals and pre_idx,
+    updated in place, and A ends up holding the result.  Returns (values,
+    iterations per row, error bound per row), with iterations in Banach
+    steps N.
+    """
+    stack, mult, index = plan.q_vals, plan.s_vals, plan.pre_idx
+    next_mult, next_index = np.empty_like(mult), np.empty_like(index)
+    # Rows go in blocks, so the gather scratch stays small and in cache.
+    scratch = np.empty((min(len(stack), _DOUBLING_BLOCK_ROWS), stack.shape[1]))
+    blocks = [slice(lo, lo + len(scratch)) for lo in range(0, len(stack), _DOUBLING_BLOCK_ROWS)]
+    iterations = np.zeros(len(stack), dtype=np.int64)
+    bounds = np.zeros(len(stack))
+
+    def certify(rows: slice, n: int, rho: float, shift: np.ndarray | None) -> float:
+        """Stop the active rows of a block whose bound for T^n is within tol.
+
+        Returns the block's largest step max|T^n v0 - v0| over its active rows.
+        """
+        block = stack[rows]
+        work, active = scratch[: len(block)], iterations[rows] == 0
+        if shift is None:
+            np.abs(block, out=work)
+        else:
+            np.subtract(np.add(block, shift, out=work), initial, out=work)
+            np.abs(work, out=work)
+        # A step that overflowed never passes, so such a row runs into max_iter.
+        step = work.max(axis=1)
+        if rho < 1.0:
+            bound = rho * step / (1.0 - rho)
+            done = active & (bound <= tol)
+            if shift is not None:
+                block[done] += shift
+            iterations[rows][done] = n
+            bounds[rows][done] = bound[done]
+        return float(np.max(step[active], initial=0.0))
+
+    def shift_for(mult: np.ndarray, index: np.ndarray) -> np.ndarray | None:
+        return None if initial is None else mult * initial[index]
+
+    n, rho = 1, float(np.max(np.abs(mult)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = shift_for(mult, index)
+        last_step = max((certify(rows, n, rho, shift) for rows in blocks), default=0.0)
+        while not np.all(iterations):
+            if 2 * n > max_iter:
+                raise ConvergenceError(
+                    f"no convergence after {n} steps (rho_{n} = {rho:.3e}, "
+                    f"last step {last_step:.3e}, tol {tol:.3e})",
+                    iterations=n,
+                    residual=last_step,
+                )
+            np.take(mult, index, out=next_mult, mode="wrap")
+            next_mult *= mult
+            next_rho = float(np.max(np.abs(next_mult)))
+            if not math.isfinite(next_rho):
+                raise ConvergenceError(
+                    f"no convergence after {n} steps: rho_{2 * n} = {next_rho} "
+                    f"overflows (rho_{n} = {rho:.3e})",
+                    iterations=n,
+                    residual=last_step,
+                )
+            np.take(index, index, out=next_index, mode="wrap")
+            shift = shift_for(next_mult, next_index)
+            last_step = 0.0
+            for rows in blocks:
+                active = iterations[rows] == 0
+                if not active.any():
+                    continue
+                block = stack[rows]
+                work = scratch[: len(block)]
+                # Indices are in range: mode="raise" would buffer `out` and double the cost.
+                np.take(block, index, axis=1, out=work, mode="wrap")
+                work *= mult
+                if active.all():
+                    block += work
+                else:
+                    np.add(block, work, out=block, where=active[:, None])
+                last_step = max(last_step, certify(rows, 2 * n, next_rho, shift))
+            mult, next_mult = next_mult, mult
+            index, next_index = next_index, index
+            n, rho = 2 * n, next_rho
+    return stack, iterations, bounds
+
+
 def fixed_point(
     params: RBParams,
     grid_m: int,
@@ -346,22 +451,38 @@ def fixed_point(
     max_iter: int = 1000,
     initial: GridFunction | None = None,
 ) -> FixedPointResult:
-    """Banach iteration f_{k+1} = T f_k from f_0 = 0 (or `initial`).
+    """The fixed point of T from f_0 = 0 (or `initial`), within tol in the sup norm.
 
-    Stops once ||f_{k+1} - f_k||_inf <= tol*(1-gamma)/gamma, which bounds the
-    sup-norm distance of the returned iterate to the fixed point by tol.
-    gamma = 0 (all multipliers zero) makes T constant, so one step suffices.
+    On an aligned grid, pointer doubling computes f_N = T^N f_0 for N = 1, 2,
+    4, ... and stops once rho_N = max|B| < 1 and
+    rho_N * ||f_N - f_0||_inf / (1 - rho_N) <= tol; that bound is the
+    returned error bound, and gamma is only validated.  On an interpolating
+    grid, Banach iteration f_{k+1} = T f_k stops once
+    ||f_{k+1} - f_k||_inf <= tol*(1-gamma)/gamma, which is valid when gamma
+    bounds the sup-norm Lipschitz constant of T; gamma = 0 (all multipliers
+    zero) makes T constant, so one step suffices.  `iterations` counts Banach
+    steps, a power of two on an aligned grid, and never exceeds max_iter.
     """
     threshold = _stop_threshold(tol, gamma, max_iter)
     plan = _build_plan(params, grid_m, (params.q,))
-    if initial is None:
-        values = np.zeros(grid_m + 1)
+    start = None if initial is None else initial.values
+    if initial is not None and (initial.partition != params.partition or initial.grid_m != grid_m):
+        raise ValueError("initial iterate must live on the carrier grid")
+    if plan.pre_idx is not None:
+        stack, steps, bounds = _double_rows(plan, tol, max_iter, start)
+        values, iterations, bound = stack[0], int(steps[0]), float(bounds[0])
     else:
-        if initial.partition != params.partition or initial.grid_m != grid_m:
-            raise ValueError("initial iterate must live on the carrier grid")
-        values = initial.values
-    values, iterations, bound = _iterate_row(plan, 0, values, gamma, threshold, max_iter)
+        start = np.zeros(grid_m + 1) if start is None else start
+        values, iterations, bound = _iterate_row(plan, 0, start, gamma, threshold, max_iter)
     return FixedPointResult(GridFunction(params.partition, values), iterations, bound)
+
+
+def _sup_factor(params, grid_m: int) -> tuple[bool, float]:
+    """Whether the grid is aligned, and max|s_vals|, the exact sup-norm
+    Lipschitz constant of T on the grid: the factor the Banach rule of an
+    interpolating grid needs below 1."""
+    plan = _build_plan(params, grid_m, ())
+    return plan.pre_idx is not None, float(np.max(np.abs(plan.s_vals)))
 
 
 def empirical_gamma(params: RBParams, grid_m: int, trials: int, seed: int) -> float:

@@ -95,6 +95,27 @@ def address_psi(params: RBParams, x: float, depth: int) -> float:
     )
 
 
+def dense_operator(params: RBParams, grid_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The operator T f = A f + q on an aligned grid as a dense matrix A and vector q.
+
+    Grid point x_j belongs to the tile that `locate` names; with x = L_i^-1(x_j)
+    on the grid at index k, row j of A holds s_i(x) in column k and q_j = q_i(x).
+    """
+    part = params.partition
+    xs = np.linspace(part.x_lo, part.x_hi, grid_m + 1)
+    matrix = np.zeros((grid_m + 1, grid_m + 1))
+    rhs = np.empty(grid_m + 1)
+    for j, x in enumerate(xs):
+        i = part.locate(x)
+        pre = part.maps[i].inverse(x)
+        k = int(np.argmin(np.abs(xs - pre)))
+        if abs(xs[k] - pre) > 1e-9 * part.span:
+            raise ValueError(f"the pre-image of x_{j} is off the grid")
+        matrix[j, k] = eval_field(params.s[i], xs[k])
+        rhs[j] = eval_field(params.q[i], xs[k])
+    return matrix, rhs
+
+
 def trapezoid_lp(values: np.ndarray, h: float, p: float) -> float:
     weights = np.full(len(values), h)
     weights[0] = weights[-1] = h / 2.0

@@ -123,6 +123,35 @@ def test_solve_non_convergence_exits_3(tmp_path, capsys):
     assert "no convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "partition, needle",
+    [
+        # Aligned: tile 0 fixes x = 0 with s = 1.2, so rho_N >= 1.2^N and no power of T contracts.
+        ({"interval": [0.0, 1.0], "N": 2}, "rho_"),
+        # Interpolating: the Banach rule has no sup-norm factor below 1.
+        ({"interval": [0.0, 1.0], "knots": [0.0, 0.3, 1.0]}, "max|s| = 1.2 >= 1"),
+    ],
+)
+def test_solve_without_a_sup_norm_certificate_exits_3(tmp_path, capsys, partition, needle):
+    # The Lp(p=1) gate is below 1 (0.65 on uniform tiles), which certifies nothing in the
+    # sup norm.  q_0(0) = 0 keeps the Banach iterates bounded, so they stop with a bound
+    # that nothing certifies.
+    config = {
+        "schema_version": 1,
+        "n": 0,
+        "grid_M": 64,
+        "partition": partition,
+        "q": [{"poly": [0.0, 1.0]}, 1.0],
+        "s": [1.2, 0.1],
+        "tol": 1e-10,
+        "space": {"tag": "Lp", "p": 1.0},
+    }
+    out = tmp_path / "uncertified.csv"
+    assert main(["solve", str(write_config(tmp_path, config)), "--output", str(out)]) == 3
+    assert not out.exists()
+    assert needle in capsys.readouterr().err
+
+
 def test_solve_config_error_exits_2(tmp_path, capsys):
     broken = json.loads(json.dumps(CONSTANT_CONFIG))
     del broken["s"]

@@ -22,7 +22,7 @@ from clifract import (
 )
 from clifract.engine import _build_plan
 
-from oracles import address_psi, trapezoid_lp
+from oracles import address_psi, dense_operator, trapezoid_lp
 
 
 def constant_params(partition, c, s):
@@ -223,8 +223,34 @@ def test_fixed_point_reports_non_convergence():
     params = constant_params(uniform_partition(0.0, 1.0, 2), 1.0, 0.99)
     with pytest.raises(ConvergenceError) as excinfo:
         fixed_point(params, 16, tol=1e-14, gamma=0.99, max_iter=3)
-    assert excinfo.value.iterations == 3
+    # Aligned grids double, so the count is the largest power of two <= max_iter.
+    assert excinfo.value.iterations == 2
     assert excinfo.value.residual > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_contracting_aligned_problem_raises_naming_rho():
+    # Tile 0 fixes x = 0 with s = 1.2, so rho_(2^k) = 1.2^(2^k) is infinite at k = 12.
+    params = RBParams(uniform_partition(0.0, 1.0, 2), (Poly((0.0, 1.0)), 1.0), (1.2, 0.1))
+    with pytest.raises(ConvergenceError, match="rho_4096 = inf") as excinfo:
+        fixed_point(params, 64, tol=1e-10, gamma=0.5, max_iter=10**6)
+    assert excinfo.value.iterations == 2048
+
+
+def test_doubling_certificate_holds_against_a_dense_solve():
+    # s is 1.05 on (0.4, 0.6) and 0.9 elsewhere.  The tile maps double x (mod 1/2), and
+    # no pre-image in that band has its own pre-image there, so rho_2 = 1.05 * 0.9 < 1.
+    # rho_N then decays slowly, which keeps the bound far above rounding.
+    part = uniform_partition(0.0, 1.0, 2)
+    grid_m, tol = 32, 1e-10
+    s = GridFunction.sample(part, grid_m, lambda x: np.where((x > 0.4) & (x < 0.6), 1.05, 0.9))
+    params = RBParams(part, (Poly((0.0, 1.0)), Poly((1.0, -2.0, 1.0))), (s, s))
+    matrix, rhs = dense_operator(params, grid_m)
+    assert np.max(np.sum(np.abs(matrix), axis=1)) == 1.05
+    assert np.max(np.sum(np.abs(matrix @ matrix), axis=1)) < 0.95
+    exact = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
+    result = fixed_point(params, grid_m, tol=tol, gamma=0.5)
+    assert np.max(np.abs(result.function.values - exact)) <= result.error_bound <= tol
 
 
 def test_fixed_point_satisfies_equation_and_matches_recursion_oracle():
