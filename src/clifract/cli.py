@@ -6,9 +6,9 @@ Commands:
   eval <solution> --at ...  look up solution values, interpolating off-grid
 
 Exit codes: 0 success (for check: configured gate < 1), 1 failed gate check,
-2 configuration errors, 3 gate >= 1 on solve, no sup-norm certificate, or
-non-convergence.  CSV output
-follows RFC 4180 with floats at 17 significant digits; identical configs and
+2 configuration errors (an unwritable solve output included), 3 gate >= 1
+on solve, no sup-norm certificate, or non-convergence.  CSV output follows
+RFC 4180 with floats at 17 significant digits; identical configs and
 seeds produce byte-identical files.  CLIFRACT_OUTPUT_DIR, when set, anchors
 relative output paths.  With --quiet, solve and check skip the random
 contraction probe and the residual, which only their reports print.
@@ -32,9 +32,7 @@ from .engine import (
     ConvergenceError,
     SpaceSpec,
     _grid_points,
-    _sup_factor,
     empirical_gamma,
-    field_sup,
     fixed_point,
     gamma_gate,
     rb_apply,
@@ -120,7 +118,6 @@ def _cmd_solve(args) -> int:
     cfg = setup.config
     params = setup.params
     gate = gamma_gate(cfg.space, params)
-    sup_factor = max(field_sup(entry, setup.partition) for entry in params.s)
 
     if not gate < 1.0:
         print(
@@ -128,33 +125,17 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_CONVERGENCE
-
-    # Aligned grids certify their stop by rho_N and do not read gamma.  The
-    # Banach rule of an interpolating grid needs its sup-norm factor below 1:
-    # sup_factor bounds the plan's exact max|s_vals| from above.
-    gamma = sup_factor
-    if not sup_factor < 1.0:
-        aligned, factor = _sup_factor(params, cfg.grid_m)
-        if not (aligned or factor < 1.0):
-            print(
-                f"no certificate: the sup-norm factor max|s| = {_fmt(factor)} >= 1 "
-                "on an interpolating grid; no output written",
-                file=sys.stderr,
-            )
-            return EXIT_NO_CONVERGENCE
-        gamma = 0.0 if aligned else factor
     fmt = args.format or (cfg.output or {}).get("format") or "csv"
     out_path = _resolve_output(args, setup, fmt)
 
     solver = fixed_point if setup.scalar_mode else clifford_fixed_point
     try:
-        result = solver(params, cfg.grid_m, tol=cfg.tol, gamma=gamma, max_iter=cfg.max_iter)
+        result = solver(params, cfg.grid_m, tol=cfg.tol, max_iter=cfg.max_iter)
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     psi = result.function
 
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if setup.scalar_mode:
         names, columns = ["value"], [psi.values]
     else:
@@ -162,7 +143,11 @@ def _cmd_solve(args) -> int:
         names = [blade_key(mask) for mask in range(1 << psi.n)]
         rows, zero = dict(zip(psi.masks, psi.values)), np.zeros(psi.grid_m + 1)
         columns = [rows.get(mask, zero) for mask in range(1 << psi.n)]
-    _write_solution(out_path, fmt, _grid_points(psi.partition, psi.grid_m), names, columns)
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_solution(out_path, fmt, _grid_points(psi.partition, psi.grid_m), names, columns)
+    except OSError as exc:
+        raise ConfigError("output", f"cannot write {out_path}: {exc}") from exc
 
     if not args.quiet:
         if setup.scalar_mode:
@@ -305,6 +290,10 @@ def _cmd_eval(args) -> int:
         print("config error: --at expects at least one x value", file=sys.stderr)
         return EXIT_CONFIG
     names, xs, data = _read_solution(Path(args.solution))
+    finite = [np.isfinite(xs).all(), *np.isfinite(data).all(axis=0)]
+    for name, ok in zip(["x", *names], finite):
+        if not ok:
+            raise ConfigError("<solution>", f"column {name!r} holds a non-finite value")
     if not np.all(np.diff(xs) > 0):
         raise ConfigError("<solution>", "x must be strictly increasing")
     lo, hi = float(xs[0]), float(xs[-1])

@@ -7,14 +7,19 @@ of M intervals; when every pre-image of a grid point is itself a grid point
 ("aligned") the pullbacks are exact table lookups, otherwise they fall back
 to linear interpolation with O(M^-2) bias.
 
-The grid also chooses the solver, and both stop on a sup-norm certificate.
-On an aligned grid T^N v = A + B * v[P] has the shape of T, so pointer
-doubling reaches T^(2^k) in k steps, and rho_N = max|B| is the exact sup norm
-of the linear part of T^N: it certifies the stop even where some |s_i| >= 1.
-An interpolating grid runs Banach iteration under the caller's sup-norm
-factor gamma.  Iteration counts are Banach steps either way; on an aligned
-grid they are powers of two.  The six per-space contraction constants are
-separate certificates evaluated by gamma_gate.
+The grid also chooses the solver, and both stop on the same sup-norm
+certificate: a row stops at the first N with rho_N < 1 and
+rho_N * ||T^N v0 - v0||_inf / (1 - rho_N) <= tol, and that value is its
+error bound.  On an aligned grid T^N v = A + B * v[P] has the shape of T,
+so pointer doubling reaches T^(2^k) in k steps, and rho_N = max|B| is the
+exact sup norm of the linear part of T^N: it certifies the stop even where
+some |s_i| >= 1.  On an interpolating grid the weights are nonnegative and
+sum to 1, so rho = max|s_vals| is the sup-norm Lipschitz constant of T, and
+Banach iteration stops on the same expression with N = 1 applied to
+consecutive iterates; rho >= 1 certifies nothing and raises.  Iteration
+counts are Banach steps either way; on an aligned grid they are powers of
+two.  The six per-space contraction constants are separate certificates
+evaluated by gamma_gate; the solvers do not read them.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ __all__ = [
     "gamma_gate",
     "norm",
     "rb_apply",
-    "sup_norm",
 ]
 
 # Pre-images further than this from the nearest grid index (in index units)
@@ -56,12 +60,14 @@ _DOUBLING_BLOCK_ROWS = 32
 
 class ConvergenceError(RuntimeError):
     """The solve found no certified stop within max_iter steps; carries the
-    step count reached and the last step size."""
+    step count reached, the last step size, and the first plan row without a
+    stop (0 for a scalar solve, a blade's row for a lifted one)."""
 
-    def __init__(self, message: str, *, iterations: int, residual: float):
+    def __init__(self, message: str, *, iterations: int, residual: float, row: int = 0):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -162,19 +168,12 @@ def _field_values(
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
-def field_sup(field: Field, partition: AffinePartition | None = None, grid_m: int = 256) -> float:
-    """Sup-norm bound: |c| for constants, grid maximum for samples.
-
-    Polynomials are bounded by sampling on the partition's interval.
-    """
+def field_sup(field: Field) -> float:
+    """Sup norm of a multiplier: |c| for constants, the grid maximum for samples."""
     if isinstance(field, (int, float)):
         return abs(float(field))
     if isinstance(field, GridFunction):
         return field.sup_norm()
-    if isinstance(field, Poly):
-        if partition is None:
-            raise ValueError("bounding a polynomial needs the partition interval")
-        return float(np.max(np.abs(field(_grid_points(partition, grid_m)))))
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
@@ -203,9 +202,6 @@ class RBParams:
                 raise ValueError(f"q[{i}] must be a constant, Poly, or GridFunction")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
-
-    def sup_s(self) -> tuple[float, ...]:
-        return tuple(field_sup(entry, self.partition) for entry in self.s)
 
 
 @dataclass(frozen=True)
@@ -311,21 +307,21 @@ def rb_apply(params: RBParams, f: GridFunction) -> GridFunction:
     return GridFunction(params.partition, plan.apply(f.values))
 
 
-def _stop_threshold(tol: float, gamma: float, max_iter: int) -> float:
-    """Validate the iteration settings; the step size that stops a row."""
-    if not 0.0 <= gamma < 1.0:
+def _check_settings(tol: float, gamma: float | None, max_iter: int) -> None:
+    """Validate the iteration settings; gamma is checked but never read."""
+    if gamma is not None and not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    return math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
 
 
 def _iterate_row(
-    plan: _Plan, row: int, values: np.ndarray, gamma: float, threshold: float, max_iter: int
+    plan: _Plan, row: int, values: np.ndarray, rho: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
-    """Banach iteration of one plan row: (values, iterations, error bound)."""
+    """Banach iteration of one plan row whose T has sup-norm Lipschitz constant
+    rho < 1: (values, iterations, error bound)."""
     diff = math.inf
     # One step buffer for the whole loop: with apply finishing in place, a fresh
     # step array per iteration made this loop 5-15% slower at M = 2^16.
@@ -334,16 +330,47 @@ def _iterate_row(
         new_values = plan.apply(values, row)
         diff = float(np.max(np.abs(np.subtract(new_values, values, out=step), out=step)))
         values = new_values
-        if gamma == 0.0:
-            return values, iteration, 0.0
-        if diff <= threshold:
-            return values, iteration, diff * gamma / (1.0 - gamma)
+        bound = rho * diff / (1.0 - rho)
+        if bound <= tol:
+            return values, iteration, bound
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (last step {diff:.3e}, "
-        f"needed {threshold:.3e})",
+        f"no convergence after {max_iter} iterations (max|s| = {rho:.3e}, "
+        f"last step {diff:.3e}, tol {tol:.3e})",
         iterations=max_iter,
         residual=diff,
+        row=row,
     )
+
+
+def _solve(
+    plan: _Plan, tol: float, max_iter: int, initial: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed points of every q row of `plan`, each certified within tol.
+
+    Returns (values (K, M+1), iterations per row, error bound per row).  A
+    gather plan is doubled; an interpolating one runs Banach iteration per
+    row under rho = max|s_vals|, the sup-norm Lipschitz constant of T there,
+    and raises when rho >= 1.  v0 is zero or the row `initial`.  Consumes
+    the plan.
+    """
+    if plan.pre_idx is not None:
+        return _double_rows(plan, tol, max_iter, initial)
+    rho = float(np.max(np.abs(plan.s_vals)))
+    values = np.empty(plan.q_vals.shape)
+    if len(values) and not rho < 1.0:
+        raise ConvergenceError(
+            f"no sup-norm certificate on an interpolating grid: max|s| = {rho:.17g} >= 1",
+            iterations=0,
+            residual=math.inf,
+        )
+    start = np.zeros(values.shape[1]) if initial is None else initial
+    iterations = np.zeros(len(values), dtype=np.int64)
+    bounds = np.zeros(len(values))
+    for row in range(len(values)):
+        values[row], iterations[row], bounds[row] = _iterate_row(
+            plan, row, start, rho, tol, max_iter
+        )
+    return values, iterations, bounds
 
 
 def _double_rows(
@@ -408,6 +435,7 @@ def _double_rows(
                     f"last step {last_step:.3e}, tol {tol:.3e})",
                     iterations=n,
                     residual=last_step,
+                    row=int(np.argmin(iterations)),
                 )
             np.take(mult, index, out=next_mult, mode="wrap")
             next_mult *= mult
@@ -418,6 +446,7 @@ def _double_rows(
                     f"overflows (rho_{n} = {rho:.3e})",
                     iterations=n,
                     residual=last_step,
+                    row=int(np.argmin(iterations)),
                 )
             np.take(index, index, out=next_index, mode="wrap")
             shift = shift_for(next_mult, next_index)
@@ -447,42 +476,33 @@ def fixed_point(
     grid_m: int,
     *,
     tol: float,
-    gamma: float,
+    gamma: float | None = None,
     max_iter: int = 1000,
     initial: GridFunction | None = None,
 ) -> FixedPointResult:
     """The fixed point of T from f_0 = 0 (or `initial`), within tol in the sup norm.
 
-    On an aligned grid, pointer doubling computes f_N = T^N f_0 for N = 1, 2,
-    4, ... and stops once rho_N = max|B| < 1 and
-    rho_N * ||f_N - f_0||_inf / (1 - rho_N) <= tol; that bound is the
-    returned error bound, and gamma is only validated.  On an interpolating
-    grid, Banach iteration f_{k+1} = T f_k stops once
-    ||f_{k+1} - f_k||_inf <= tol*(1-gamma)/gamma, which is valid when gamma
-    bounds the sup-norm Lipschitz constant of T; gamma = 0 (all multipliers
-    zero) makes T constant, so one step suffices.  `iterations` counts Banach
-    steps, a power of two on an aligned grid, and never exceeds max_iter.
+    Both grids stop on one certificate: the first step whose bound
+    rho * ||step||_inf / (1 - rho) is <= tol, which is also the returned error
+    bound.  On an aligned grid, pointer doubling computes f_N = T^N f_0 for
+    N = 1, 2, 4, ...; the step is f_N - f_0 and rho = max|B| is the exact sup
+    norm of the linear part of T^N.  On an interpolating grid, Banach
+    iteration f_{k+1} = T f_k takes the step f_{k+1} - f_k under rho =
+    max|s_vals|, the sup-norm Lipschitz constant of T there, and raises
+    ConvergenceError when rho >= 1.  `iterations` counts Banach steps, a power
+    of two on an aligned grid, and never exceeds max_iter.  gamma is checked
+    to lie in [0, 1) when given and is not read.
     """
-    threshold = _stop_threshold(tol, gamma, max_iter)
-    plan = _build_plan(params, grid_m, (params.q,))
-    start = None if initial is None else initial.values
+    _check_settings(tol, gamma, max_iter)
     if initial is not None and (initial.partition != params.partition or initial.grid_m != grid_m):
         raise ValueError("initial iterate must live on the carrier grid")
-    if plan.pre_idx is not None:
-        stack, steps, bounds = _double_rows(plan, tol, max_iter, start)
-        values, iterations, bound = stack[0], int(steps[0]), float(bounds[0])
-    else:
-        start = np.zeros(grid_m + 1) if start is None else start
-        values, iterations, bound = _iterate_row(plan, 0, start, gamma, threshold, max_iter)
-    return FixedPointResult(GridFunction(params.partition, values), iterations, bound)
-
-
-def _sup_factor(params, grid_m: int) -> tuple[bool, float]:
-    """Whether the grid is aligned, and max|s_vals|, the exact sup-norm
-    Lipschitz constant of T on the grid: the factor the Banach rule of an
-    interpolating grid needs below 1."""
-    plan = _build_plan(params, grid_m, ())
-    return plan.pre_idx is not None, float(np.max(np.abs(plan.s_vals)))
+    plan = _build_plan(params, grid_m, (params.q,))
+    values, iterations, bounds = _solve(
+        plan, tol, max_iter, None if initial is None else initial.values
+    )
+    return FixedPointResult(
+        GridFunction(params.partition, values[0]), int(iterations[0]), float(bounds[0])
+    )
 
 
 def empirical_gamma(params: RBParams, grid_m: int, trials: int, seed: int) -> float:
@@ -636,7 +656,7 @@ def gamma_gate(space: SpaceSpec, params) -> float:
     surfaces them next to the observed sup-norm factor rather than adjusting.
     """
     lips = np.array([m.lip for m in params.partition.maps])
-    sups = np.array([field_sup(entry, params.partition) for entry in params.s])
+    sups = np.array([field_sup(entry) for entry in params.s])
     if space.tag == "Ck":
         return float(np.max(lips ** -(space.k + 1) * sups))
     if space.tag == "CkAlpha":
@@ -648,10 +668,6 @@ def gamma_gate(space: SpaceSpec, params) -> float:
     if space.tag == "Bspq":
         return float(np.sum(lips ** ((1.0 / space.p - space.s) * space.q) * sups ** space.q))
     raise ValueError(f"unknown space tag {space.tag!r}")
-
-
-def sup_norm(f: GridFunction) -> float:
-    return f.sup_norm()
 
 
 def norm(space: SpaceSpec, f: GridFunction) -> float:

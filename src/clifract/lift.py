@@ -43,11 +43,10 @@ from .engine import (
     RBParams,
     SpaceSpec,
     _build_plan,
-    _double_rows,
+    _check_settings,
     _fif_knots,
     _interpolation_polys,
-    _iterate_row,
-    _stop_threshold,
+    _solve,
     empirical_gamma,
     norm,
 )
@@ -252,38 +251,32 @@ def clifford_fixed_point(
     grid_m: int,
     *,
     tol: float,
-    gamma: float,
+    gamma: float | None = None,
     max_iter: int = 1000,
 ) -> CliffordFixedPointResult:
     """Solve each supported blade component with the scalar solver.
 
     Blades with no q data stay identically zero and are skipped; they are
     still materialized on export.  Every blade is its own row of the shared
-    plan under the scalar stopping rule: on an aligned grid the doubling
-    solver works the whole stack and freezes each row at its own stop, else
-    each row runs the scalar Banach loop.  Either way a component is bit for
-    bit its scalar solve.  The error bound aggregates the component bounds
-    in the Euclidean blade norm.
+    plan under the scalar stopping rule and certificate: on an aligned grid
+    the doubling solver works the whole stack and freezes each row at its own
+    stop, else each row runs the scalar Banach loop.  Either way a component
+    is bit for bit its scalar solve, and a ConvergenceError names the first
+    component without a stop.  The error bound aggregates the component
+    bounds in the Euclidean blade norm.  gamma is checked to lie in [0, 1)
+    when given and is not read.
     """
-    threshold = _stop_threshold(tol, gamma, max_iter)
+    _check_settings(tol, gamma, max_iter)
     masks = params.support
-    plan = params._plan(grid_m, masks)
-    if plan.pre_idx is not None:
-        values, steps, bounds = _double_rows(plan, tol, max_iter)
-    else:
-        values = np.empty((len(masks), grid_m + 1))
-        steps, bounds = [0] * len(masks), [0.0] * len(masks)
-        for row, mask in enumerate(masks):
-            try:
-                values[row], steps[row], bounds[row] = _iterate_row(
-                    plan, row, np.zeros(grid_m + 1), gamma, threshold, max_iter
-                )
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"component '{_mask_label(mask)}': {exc}",
-                    iterations=exc.iterations,
-                    residual=exc.residual,
-                ) from exc
+    try:
+        values, steps, bounds = _solve(params._plan(grid_m, masks), tol, max_iter)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"component '{_mask_label(masks[exc.row])}': {exc}",
+            iterations=exc.iterations,
+            residual=exc.residual,
+            row=exc.row,
+        ) from exc
     function = CliffordGridFunction._from_stack(params.n, params.partition, grid_m, masks, values)
     iterations = MappingProxyType({mask: int(step) for mask, step in zip(masks, steps)})
     bound = math.sqrt(sum(bound**2 for bound in bounds))

@@ -96,23 +96,33 @@ def address_psi(params: RBParams, x: float, depth: int) -> float:
 
 
 def dense_operator(params: RBParams, grid_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The operator T f = A f + q on an aligned grid as a dense matrix A and vector q.
+    """The operator T f = A f + q on the grid as a dense matrix A and vector q.
 
-    Grid point x_j belongs to the tile that `locate` names; with x = L_i^-1(x_j)
-    on the grid at index k, row j of A holds s_i(x) in column k and q_j = q_i(x).
+    Grid point x_j belongs to the tile that `locate` names, and its pre-image
+    x = L_i^-1(x_j) is pulled back by linear interpolation.  When x is a grid
+    point x_k, row j of A holds s_i(x_k) in column k and q_j = q_i(x_k).
+    Otherwise x lies at fraction t between x_k and x_k+1, row j holds
+    (1 - t) s_i(x) in column k and t s_i(x) in column k+1, and q_j = q_i(x).
     """
     part = params.partition
     xs = np.linspace(part.x_lo, part.x_hi, grid_m + 1)
+    h = part.span / grid_m
     matrix = np.zeros((grid_m + 1, grid_m + 1))
     rhs = np.empty(grid_m + 1)
     for j, x in enumerate(xs):
         i = part.locate(x)
         pre = part.maps[i].inverse(x)
-        k = int(np.argmin(np.abs(xs - pre)))
-        if abs(xs[k] - pre) > 1e-9 * part.span:
-            raise ValueError(f"the pre-image of x_{j} is off the grid")
-        matrix[j, k] = eval_field(params.s[i], xs[k])
-        rhs[j] = eval_field(params.q[i], xs[k])
+        nearest = int(np.argmin(np.abs(xs - pre)))
+        if abs(xs[nearest] - pre) <= 1e-9 * part.span:
+            matrix[j, nearest] = eval_field(params.s[i], xs[nearest])
+            rhs[j] = eval_field(params.q[i], xs[nearest])
+            continue
+        k = min(int((pre - part.x_lo) // h), grid_m - 1)
+        t = (pre - xs[k]) / h
+        s_pre = eval_field(params.s[i], pre)
+        matrix[j, k] = (1.0 - t) * s_pre
+        matrix[j, k + 1] = t * s_pre
+        rhs[j] = eval_field(params.q[i], pre)
     return matrix, rhs
 
 

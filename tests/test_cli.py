@@ -271,6 +271,38 @@ def test_eval_bad_input_exits_2_with_config_error(tmp_path, capsys, name, conten
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "content, column",
+    [
+        ("x,,12\r\n0,1,2\r\n1,3,inf\r\n", "'12'"),
+        ("x,value\r\n0,1\r\nnan,2\r\n", "'x'"),
+        (json.dumps([{"x": 0.0, "coeffs": {"": 1.0, "1": None}}, {"x": 1.0, "coeffs": {"": 2.0, "1": 0.0}}]), "'1'"),
+    ],
+    ids=["csv-blade", "csv-x", "json-blade"],
+)
+def test_eval_non_finite_value_exits_2_naming_the_column(tmp_path, capsys, content, column):
+    solution = tmp_path / "solution.txt"
+    solution.write_text(content, newline="")
+    assert main(["eval", str(solution), "--at", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: <solution>: column " + column)
+
+
+@pytest.mark.parametrize("target", ["directory", "under-a-file"])
+def test_solve_unwritable_output_exits_2(tmp_path, capsys, target):
+    cfg = write_config(tmp_path, FIF_CONFIG)
+    blocker = tmp_path / "blocker"
+    if target == "directory":
+        blocker.mkdir()
+        out = blocker
+    else:
+        blocker.write_text("")
+        out = blocker / "solution.csv"
+    assert main(["solve", str(cfg), "--quiet", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output: cannot write") and err.count("\n") == 1
+
+
 def test_solve_outputs_are_byte_identical_across_runs(tmp_path, cli_env):
     cfg = write_config(tmp_path, FIF_CONFIG)
     outs = []
@@ -433,8 +465,14 @@ def test_json_writer_matches_one_json_dumps(tmp_path, names):
         "x,value\r\n1,1\r\n0,2\r\n",
         b"\x89PNG\r\n\x1a\n\xff",
         "[]",
+        "x,value\r\n0,1\r\n0.5,nan\r\n1,2\r\n",
+        "x,value\r\n0,1\r\n0.5,-inf\r\n1,2\r\n",
+        json.dumps([{"x": 0.0, "value": 1.0}, {"x": 1.0, "value": None}]),
     ],
-    ids=["header-only", "ragged-row", "non-numeric-cell", "hash-in-cell", "x-decreasing", "binary", "empty-json"],
+    ids=[
+        "header-only", "ragged-row", "non-numeric-cell", "hash-in-cell", "x-decreasing", "binary",
+        "empty-json", "nan-cell", "inf-cell", "json-null",
+    ],
 )
 def test_malformed_solution_exits_2_without_warnings(tmp_path, capsys, content):
     solution = tmp_path / "solution.csv"

@@ -253,6 +253,28 @@ def test_doubling_certificate_holds_against_a_dense_solve():
     assert np.max(np.abs(result.function.values - exact)) <= result.error_bound <= tol
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 0.9])
+def test_interpolating_certificate_holds_against_a_dense_solve_whatever_gamma(gamma):
+    # The knot 0.3 misses the grid, so the pullback interpolates; rho = max|s| = 0.9.
+    params = fif_from_data([0.0, 0.3, 1.0], [0.0, 1.0, -0.5], [0.9, -0.9])
+    grid_m, tol = 256, 1e-10
+    matrix, rhs = dense_operator(params, grid_m)
+    assert np.count_nonzero(matrix, axis=1).max() == 2
+    assert np.max(np.sum(np.abs(matrix), axis=1)) == pytest.approx(0.9, abs=1e-15)
+    exact = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
+    result = fixed_point(params, grid_m, tol=tol, gamma=gamma)
+    assert np.max(np.abs(result.function.values - exact)) <= result.error_bound <= tol
+    default = fixed_point(params, grid_m, tol=tol)
+    assert result.function == default.function
+    assert (result.iterations, result.error_bound) == (default.iterations, default.error_bound)
+
+
+def test_interpolating_solve_without_a_certificate_raises_naming_max_s():
+    params = RBParams(from_knots([0.0, 0.3, 1.0]), (Poly((0.0, 1.0)), 1.0), (1.2, 0.1))
+    with pytest.raises(ConvergenceError, match=r"max\|s\| = 1.2 >= 1"):
+        fixed_point(params, 64, tol=1e-10, gamma=0.5)
+
+
 def test_fixed_point_satisfies_equation_and_matches_recursion_oracle():
     params = fif_from_data([0.0, 0.5, 1.0], [0.0, 0.5, 0.0], [0.5, 0.5])
     tol = 1e-12

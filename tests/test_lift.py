@@ -8,6 +8,7 @@ import pytest
 from clifract import (
     CliffordGridFunction,
     CliffordRBParams,
+    ConvergenceError,
     GridFunction,
     Multivector,
     Poly,
@@ -31,7 +32,7 @@ from clifract import (
     uniform_partition,
 )
 from clifract import lift
-from oracles import blade_mul_oracle
+from oracles import blade_mul_oracle, dense_operator
 
 KNOTS = [0.0, 0.5, 1.0]
 DATASETS = {
@@ -236,6 +237,36 @@ def test_components_equal_scalar_solves_bitwise():
     for blade, data in datasets.items():
         scalar = fixed_point(fif_from_data(KNOTS, data, S), 512, tol=1e-12, gamma=0.4)
         assert np.array_equal(result.function.component(blade).values, scalar.function.values)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 0.9])
+def test_lifted_interpolating_certificate_holds_against_dense_solves(gamma):
+    datasets = {"": [0.0, 1.0, -0.5], "12": [2.0, -1.0, 0.5]}
+    params = clifford_fif_from_data(2, [0.0, 0.3, 1.0], datasets, [0.9, -0.9])
+    grid_m, tol = 256, 1e-10
+    result = clifford_fixed_point(params, grid_m, tol=tol, gamma=gamma)
+    errors = []
+    for mask in params.support:
+        matrix, rhs = dense_operator(params.component_params(mask), grid_m)
+        exact = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
+        errors.append(np.max(np.abs(result.function.component(mask).values - exact)))
+    # Each row stops within tol; the lifted bound is their Euclidean aggregate.
+    assert max(errors) <= tol
+    assert math.hypot(*errors) <= result.error_bound <= math.sqrt(len(errors)) * tol
+    default = clifford_fixed_point(params, grid_m, tol=tol)
+    assert np.array_equal(result.function.values, default.function.values)
+    assert result.iterations == default.iterations
+    assert result.error_bound == default.error_bound
+
+
+def test_lifted_interpolating_solve_without_a_certificate_names_the_component():
+    part = from_knots([0.0, 0.3, 1.0])
+    params = CliffordRBParams(2, part, ({"12": Poly((0.0, 1.0))}, {"12": 1.0}), (1.2, 0.1))
+    with pytest.raises(ConvergenceError, match=r"component '12': .*max\|s\| = 1.2 >= 1"):
+        clifford_fixed_point(params, 64, tol=1e-10, gamma=0.5)
+    # With no blade to solve there is no row to certify, as on an aligned grid.
+    empty = CliffordRBParams(2, part, ({}, {}), (1.2, 0.1))
+    assert clifford_fixed_point(empty, 64, tol=1e-10).function.support == ()
 
 
 def test_unsupported_blades_stay_zero():
