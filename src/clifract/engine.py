@@ -3,23 +3,22 @@
 The operator acts piecewise through T f = q_i o L_i^-1 + s_i o L_i^-1 * f o L_i^-1
 on the i-th tile, and its fixed point is the self-referential function with
 psi(L_i(x)) = q_i(x) + s_i(x) psi(x).  Functions are carried on a uniform grid
-of M intervals; when every pre-image of a grid point is itself a grid point
-("aligned") the pullbacks are exact table lookups, otherwise they fall back
-to linear interpolation with O(M^-2) bias.
+of M intervals.  When every pre-image of a grid point is itself a grid point
+("aligned") the pullbacks are exact table lookups; otherwise they interpolate
+linearly, with O(M^-2) bias, through indices and weights the plan computes
+once and np.interp's own formula, so every bit is np.interp's.
 
-The grid also chooses the solver, and both stop on the same sup-norm
-certificate: a row stops at the first N with rho_N < 1 and
-rho_N * ||T^N v0 - v0||_inf / (1 - rho_N) <= tol, and that value is its
-error bound.  On an aligned grid T^N v = A + B * v[P] has the shape of T,
-so pointer doubling reaches T^(2^k) in k steps, and rho_N = max|B| is the
-exact sup norm of the linear part of T^N: it certifies the stop even where
-some |s_i| >= 1.  On an interpolating grid the weights are nonnegative and
-sum to 1, so rho = max|s_vals| is the sup-norm Lipschitz constant of T, and
-Banach iteration stops on the same expression with N = 1 applied to
-consecutive iterates; rho >= 1 certifies nothing and raises.  Iteration
-counts are Banach steps either way; on an aligned grid they are powers of
-two.  The six per-space contraction constants are separate certificates
-evaluated by gamma_gate; the solvers do not read them.
+The grid also chooses the solver, and both stop on a sup-norm certificate
+rho_k < 1 for the linear part A of T^k.  On an aligned grid T^N v = A + B *
+v[P] has the shape of T, so pointer doubling reaches T^(2^k) in k steps, and
+a row stops at the first N with rho_N * ||T^N v0 - v0||_inf / (1 - rho_N)
+<= tol, rho_N = max|B| being exact.  On an interpolating grid Banach
+iteration stops once step * (rho_1 + ... + rho_k) / (1 - rho_k) <= tol,
+with rho_1 = max|s_vals| and, only when that is >= 1, the least k <= _K_MAX
+with rho_k = max(|A|^k 1) < 1; none raises.  Either bound is the error
+bound.  Iteration counts are Banach steps, powers of two on an aligned
+grid.  The per-space contraction constants of gamma_gate are separate
+certificates; the solvers do not read them.
 """
 
 from __future__ import annotations
@@ -56,6 +55,8 @@ __all__ = [
 _ALIGN_ATOL = 1e-7
 # Rows per block of the doubling solver's gather scratch.
 _DOUBLING_BLOCK_ROWS = 32
+# The largest power k of an interpolating T whose rho_k may certify a solve.
+_K_MAX = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -151,20 +152,15 @@ def _grid_points(partition: AffinePartition, grid_m: int) -> np.ndarray:
 Field = Union[float, int, Poly, GridFunction]
 
 
-def _field_values(
-    field: Field,
-    points: np.ndarray,
-    grid_indices: np.ndarray | None,
-    xs: np.ndarray,
-) -> np.ndarray:
+def _field_values(field: Field, points: np.ndarray, at, interp: _Interp | None) -> np.ndarray:
+    """The field at one tile's pre-images `points`; samples are read at grid
+    indices `at`, or pulled back by `interp` and read at the tile's rows `at`."""
     if isinstance(field, (int, float)):
         return np.full(len(points), float(field))
     if isinstance(field, Poly):
         return np.asarray(field(points), dtype=float)
     if isinstance(field, GridFunction):
-        if grid_indices is not None:
-            return field.values[grid_indices]
-        return np.interp(points, xs, field.values)
+        return field.values[at] if interp is None else interp(field.values)[at]
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
@@ -217,18 +213,50 @@ class FixedPointResult:
 
 
 @dataclass(frozen=True)
+class _Interp:
+    """np.interp(x, xs, v) at fixed points x, searched once: point i gets np.interp's
+    own slope * offset[i] + v[left[i]] with slope = (v[left[i] + 1] - v[left[i]]) /
+    width[i], so every bit matches.  The points `copy_at`, on a grid point or at
+    or past either end, copy v[copy_from] instead."""
+
+    left: np.ndarray
+    offset: np.ndarray
+    width: np.ndarray
+    copy_at: np.ndarray
+    copy_from: np.ndarray
+
+    @classmethod
+    def at(cls, x: np.ndarray, xs: np.ndarray) -> "_Interp":
+        j = np.searchsorted(xs, x, side="right") - 1
+        src = np.clip(j, 0, len(xs) - 1)
+        copy = (j != src) | (src == len(xs) - 1) | (xs[src] == x)
+        left = np.minimum(src, len(xs) - 2)
+        return cls(left, x - xs[left], xs[left + 1] - xs[left], np.flatnonzero(copy), src[copy])
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """A fresh array: every row of `values` (one row or a stack) at the points."""
+        low = values.take(self.left, axis=-1)
+        pulled = values[..., 1:].take(self.left, axis=-1)
+        pulled -= low
+        pulled /= self.width
+        pulled *= self.offset
+        pulled += low
+        pulled[..., self.copy_at] = values[..., self.copy_from]
+        return pulled
+
+
+@dataclass(frozen=True)
 class _Plan:
     """The operator on one grid for K problems that differ only in q.
 
     Grid point j receives q_vals[k, j] + s_vals[j] * f(y_j), where y_j is the
     pre-image of x_j under its tile's map: the grid value at pre_idx[j] when
-    every pre-image is a grid point, else f interpolated at pre_x[j].  Row k
-    of q_vals is the k-th q (one per blade).
+    every pre-image is a grid point, else f interpolated at y_j by `interp`.
+    Row k of q_vals is the k-th q (one per blade).
     """
 
-    xs: np.ndarray
     pre_idx: np.ndarray | None
-    pre_x: np.ndarray
+    interp: _Interp | None
     s_vals: np.ndarray  # shape (grid_m + 1,)
     q_vals: np.ndarray  # shape (K, grid_m + 1)
 
@@ -237,10 +265,7 @@ class _Plan:
         if self.pre_idx is not None:
             pulled = values.take(self.pre_idx, axis=-1)
         else:
-            # np.interp takes one row at a time, so a stacked row gets a lone row's bits.
-            pulled = np.empty(values.shape)
-            for index in np.ndindex(values.shape[:-1]):
-                pulled[index] = np.interp(self.pre_x, self.xs, values[index])
+            pulled = self.interp(values)
         # Both branches give a fresh array, so finish in it: s * f + q has the bits of q + s * f.
         pulled *= self.s_vals
         pulled += self.q_vals[row] if values.ndim == 1 else self.q_vals
@@ -277,7 +302,7 @@ def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan
     t = (pre_x - partition.x_lo) / h
     idx = np.rint(t).astype(np.int64)
     aligned = np.max(np.abs(t - idx)) < _ALIGN_ATOL and idx.min() >= 0 and idx.max() <= grid_m
-    pre_idx = idx if aligned else None
+    interp = None if aligned else _Interp.at(pre_x, xs)
     points = xs[idx] if aligned else pre_x
 
     s_vals = np.empty(grid_m + 1)
@@ -288,11 +313,11 @@ def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan
                 entry.partition != partition or entry.grid_m != grid_m
             ):
                 raise ValueError(f"sampled {name} entries must live on the carrier grid")
-        tile_idx = idx[rows] if aligned else None
+        at = idx[rows] if aligned else rows
         for k, q in enumerate(q_rows):
-            q_vals[k, rows] = _field_values(q[i], points[rows], tile_idx, xs)
-        s_vals[rows] = _field_values(params.s[i], points[rows], tile_idx, xs)
-    return _Plan(xs=xs, pre_idx=pre_idx, pre_x=points, s_vals=s_vals, q_vals=q_vals)
+            q_vals[k, rows] = _field_values(q[i], points[rows], at, interp)
+        s_vals[rows] = _field_values(params.s[i], points[rows], at, interp)
+    return _Plan(idx if aligned else None, interp, s_vals, q_vals)
 
 
 def rb_apply(params: RBParams, f: GridFunction) -> GridFunction:
@@ -318,10 +343,10 @@ def _check_settings(tol: float, gamma: float | None, max_iter: int) -> None:
 
 
 def _iterate_row(
-    plan: _Plan, row: int, values: np.ndarray, rho: float, tol: float, max_iter: int
+    plan: _Plan, row: int, values: np.ndarray, lead: float, rho: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
-    """Banach iteration of one plan row whose T has sup-norm Lipschitz constant
-    rho < 1: (values, iterations, error bound)."""
+    """Banach iteration of one plan row until lead * step / (1 - rho) <= tol:
+    (values, iterations, error bound)."""
     diff = math.inf
     # One step buffer for the whole loop: with apply finishing in place, a fresh
     # step array per iteration made this loop 5-15% slower at M = 2^16.
@@ -330,15 +355,37 @@ def _iterate_row(
         new_values = plan.apply(values, row)
         diff = float(np.max(np.abs(np.subtract(new_values, values, out=step), out=step)))
         values = new_values
-        bound = rho * diff / (1.0 - rho)
+        bound = lead * diff / (1.0 - rho)
         if bound <= tol:
             return values, iteration, bound
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (max|s| = {rho:.3e}, "
+        f"no convergence after {max_iter} iterations (rho = {rho:.3e}, "
         f"last step {diff:.3e}, tol {tol:.3e})",
         iterations=max_iter,
         residual=diff,
         row=row,
+    )
+
+
+def _power_rho(plan: _Plan, rho_1: float) -> tuple[float, float]:
+    """(rho_1 + ... + rho_k, rho_k) for the least k <= _K_MAX with rho_k < 1.
+
+    rho_k = max(|A|^k 1) bounds the sup norm of A^k, the linear part of T^k,
+    because |A| is |s_vals| times the nonnegative interpolation weights.
+    """
+    power, total = np.ones(len(plan.s_vals)), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_K_MAX):
+            power = plan.interp(power) * np.abs(plan.s_vals)
+            rho_k = float(np.max(power))
+            total += rho_k
+            if rho_k < 1.0:
+                return total, rho_k
+    raise ConvergenceError(
+        f"no sup-norm certificate on an interpolating grid: max|s| = {rho_1:.17g} >= 1 "
+        f"and rho_k >= 1 for every k <= {_K_MAX} (rho_{_K_MAX} = {rho_k:.3e})",
+        iterations=0,
+        residual=math.inf,
     )
 
 
@@ -349,26 +396,21 @@ def _solve(
 
     Returns (values (K, M+1), iterations per row, error bound per row).  A
     gather plan is doubled; an interpolating one runs Banach iteration per
-    row under rho = max|s_vals|, the sup-norm Lipschitz constant of T there,
-    and raises when rho >= 1.  v0 is zero or the row `initial`.  Consumes
-    the plan.
+    row under rho_1 = max|s_vals|, or under _power_rho when that is >= 1.
+    v0 is zero or the row `initial`.  Consumes the plan.
     """
     if plan.pre_idx is not None:
         return _double_rows(plan, tol, max_iter, initial)
-    rho = float(np.max(np.abs(plan.s_vals)))
     values = np.empty(plan.q_vals.shape)
+    lead = rho = float(np.max(np.abs(plan.s_vals)))
     if len(values) and not rho < 1.0:
-        raise ConvergenceError(
-            f"no sup-norm certificate on an interpolating grid: max|s| = {rho:.17g} >= 1",
-            iterations=0,
-            residual=math.inf,
-        )
+        lead, rho = _power_rho(plan, rho)
     start = np.zeros(values.shape[1]) if initial is None else initial
     iterations = np.zeros(len(values), dtype=np.int64)
     bounds = np.zeros(len(values))
     for row in range(len(values)):
         values[row], iterations[row], bounds[row] = _iterate_row(
-            plan, row, start, rho, tol, max_iter
+            plan, row, start, lead, rho, tol, max_iter
         )
     return values, iterations, bounds
 
@@ -482,16 +524,13 @@ def fixed_point(
 ) -> FixedPointResult:
     """The fixed point of T from f_0 = 0 (or `initial`), within tol in the sup norm.
 
-    Both grids stop on one certificate: the first step whose bound
-    rho * ||step||_inf / (1 - rho) is <= tol, which is also the returned error
-    bound.  On an aligned grid, pointer doubling computes f_N = T^N f_0 for
-    N = 1, 2, 4, ...; the step is f_N - f_0 and rho = max|B| is the exact sup
-    norm of the linear part of T^N.  On an interpolating grid, Banach
-    iteration f_{k+1} = T f_k takes the step f_{k+1} - f_k under rho =
-    max|s_vals|, the sup-norm Lipschitz constant of T there, and raises
-    ConvergenceError when rho >= 1.  `iterations` counts Banach steps, a power
-    of two on an aligned grid, and never exceeds max_iter.  gamma is checked
-    to lie in [0, 1) when given and is not read.
+    The error bound is the certificate the solve stopped on (see the module
+    docstring).  Pointer doubling on an aligned grid computes f_N = T^N f_0
+    for N = 1, 2, 4, ... and steps by f_N - f_0; Banach iteration on an
+    interpolating grid steps by f_{k+1} - f_k and raises ConvergenceError when
+    no rho_k with k <= _K_MAX is below 1.  `iterations` counts Banach steps
+    and never exceeds max_iter.  gamma is checked to lie in [0, 1) when given
+    and is not read.
     """
     _check_settings(tol, gamma, max_iter)
     if initial is not None and (initial.partition != params.partition or initial.grid_m != grid_m):

@@ -262,9 +262,10 @@ def clifford_fixed_point(
     the doubling solver works the whole stack and freezes each row at its own
     stop, else each row runs the scalar Banach loop.  Either way a component
     is bit for bit its scalar solve, and a ConvergenceError names the first
-    component without a stop.  The error bound aggregates the component
-    bounds in the Euclidean blade norm.  gamma is checked to lie in [0, 1)
-    when given and is not read.
+    component without a stop.  `tol` is per blade: the error bound is the
+    Euclidean aggregate sqrt(sum_A bound_A^2) of the row bounds, each <= tol,
+    so it can reach sqrt(K) * tol for K blades (22.6 tol at n = 9).  gamma is
+    checked to lie in [0, 1) when given and is not read.
     """
     _check_settings(tol, gamma, max_iter)
     masks = params.support

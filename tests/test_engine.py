@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clifract import (
     ConvergenceError,
@@ -20,7 +21,7 @@ from clifract import (
     rb_apply,
     uniform_partition,
 )
-from clifract.engine import _build_plan
+from clifract.engine import _Interp, _build_plan
 
 from oracles import address_psi, dense_operator, trapezoid_lp
 
@@ -181,6 +182,48 @@ def test_interpolation_mode_bias_is_second_order():
     assert errors[1] < errors[0] / 8  # O(M^-2) decay
 
 
+@st.composite
+def _pullback_cases(draw):
+    """Breakpoints (a uniform grid or random knots), pre-images that hit them, sit at or
+    just outside either end or fall in between, and a stack of rows (maybe none)."""
+    m = draw(st.integers(1, 40))
+    lo = draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        xs = lo + (draw(st.floats(0.01, 10.0)) / m) * np.arange(m + 1)
+    else:
+        gaps = draw(hnp.arrays(np.float64, m, elements=st.floats(1e-3, 2.0)))
+        xs = lo + np.concatenate([[0.0], np.cumsum(gaps)])
+    ends = [xs[0], xs[-1], xs[0] - 1.0, xs[-1] + 1.0]
+    ends += [np.nextafter(xs[0], -np.inf), np.nextafter(xs[-1], np.inf)]
+    ends += [np.nextafter(xs[0], np.inf), np.nextafter(xs[-1], -np.inf)]
+    picks = st.one_of(
+        st.sampled_from(ends), st.sampled_from(list(xs)), st.floats(float(xs[0]), float(xs[-1]))
+    )
+    x = np.array(draw(st.lists(picks, min_size=1, max_size=30)))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    stack = draw(hnp.arrays(np.float64, (draw(st.integers(0, 3)), m + 1), elements=entries))
+    zeros = np.where(draw(hnp.arrays(bool, m + 1)), -0.0, 0.0)
+    return xs, x, np.vstack([stack, zeros])
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pullback_cases())
+def test_stored_weight_pullback_is_np_interp_bit_for_bit(case):
+    # One row, a stack and an empty stack, against np.interp row by row.
+    xs, x, stack = case
+    assert np.all(np.diff(xs) > 0)
+    interp = _Interp.at(x, xs)
+    expected = np.array([np.interp(x, xs, row) for row in stack])
+    assert _same_bits(interp(stack), expected)
+    assert _same_bits(interp(stack[:0]), expected[:0])
+    for row, want in zip(stack, expected):
+        assert _same_bits(interp(row), want)
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
@@ -270,9 +313,26 @@ def test_interpolating_certificate_holds_against_a_dense_solve_whatever_gamma(ga
 
 
 def test_interpolating_solve_without_a_certificate_raises_naming_max_s():
+    # Tile 0 fixes x = 0 with s = 1.2, so rho_k >= 1.2^k and no power of T contracts.
     params = RBParams(from_knots([0.0, 0.3, 1.0]), (Poly((0.0, 1.0)), 1.0), (1.2, 0.1))
-    with pytest.raises(ConvergenceError, match=r"max\|s\| = 1.2 >= 1"):
+    with pytest.raises(ConvergenceError, match=r"max\|s\| = 1.2 >= 1 .*rho_32 = "):
         fixed_point(params, 64, tol=1e-10, gamma=0.5)
+
+
+def test_interpolating_certificate_from_a_power_of_t_holds_against_a_dense_solve():
+    # s peaks at 1.2 near x = 0.15.  The peak's pre-images, x / 0.3 in about [0.33, 0.67],
+    # are far from it, where s = 0.3, so max|s| > 1 while rho_2 = max(|A|^2 1) < 1.
+    part = from_knots([0.0, 0.3, 1.0])
+    grid_m, tol = 128, 1e-10
+    s = GridFunction.sample(part, grid_m, lambda x: 0.3 + 0.9 * np.exp(-(((x - 0.15) / 0.03) ** 2)))
+    params = RBParams(part, (Poly((0.0, 1.0)), Poly((1.0, -2.0, 1.0))), (s, s))
+    matrix, rhs = dense_operator(params, grid_m)
+    assert _build_plan(params, grid_m, (params.q,)).pre_idx is None
+    assert np.max(np.sum(np.abs(matrix), axis=1)) > 1.15
+    assert np.max(np.sum(np.abs(matrix) @ np.abs(matrix), axis=1)) < 0.4
+    exact = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
+    result = fixed_point(params, grid_m, tol=tol)
+    assert np.max(np.abs(result.function.values - exact)) <= result.error_bound <= tol
 
 
 def test_fixed_point_satisfies_equation_and_matches_recursion_oracle():
