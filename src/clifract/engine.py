@@ -152,15 +152,15 @@ def _grid_points(partition: AffinePartition, grid_m: int) -> np.ndarray:
 Field = Union[float, int, Poly, GridFunction]
 
 
-def _field_values(field: Field, points: np.ndarray, at, interp: _Interp | None) -> np.ndarray:
+def _field_values(field: Field, points: np.ndarray, at: np.ndarray | _Interp) -> np.ndarray:
     """The field at one tile's pre-images `points`; samples are read at grid
-    indices `at`, or pulled back by `interp` and read at the tile's rows `at`."""
+    indices `at`, or pulled back by `at`, the tile's own stored weights."""
     if isinstance(field, (int, float)):
         return np.full(len(points), float(field))
     if isinstance(field, Poly):
         return np.asarray(field(points), dtype=float)
     if isinstance(field, GridFunction):
-        return field.values[at] if interp is None else interp(field.values)[at]
+        return at(field.values) if isinstance(at, _Interp) else field.values[at]
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
@@ -244,6 +244,12 @@ class _Interp:
         pulled[..., self.copy_at] = values[..., self.copy_from]
         return pulled
 
+    def tile(self, rows: slice) -> "_Interp":
+        """The points in `rows` alone, numbered from rows.start."""
+        lo, hi = np.searchsorted(self.copy_at, [rows.start, rows.stop])
+        copies = self.copy_at[lo:hi] - rows.start, self.copy_from[lo:hi]
+        return _Interp(self.left[rows], self.offset[rows], self.width[rows], *copies)
+
 
 @dataclass(frozen=True)
 class _Plan:
@@ -313,10 +319,10 @@ def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan
                 entry.partition != partition or entry.grid_m != grid_m
             ):
                 raise ValueError(f"sampled {name} entries must live on the carrier grid")
-        at = idx[rows] if aligned else rows
+        at = idx[rows] if aligned else interp.tile(rows)
         for k, q in enumerate(q_rows):
-            q_vals[k, rows] = _field_values(q[i], points[rows], at, interp)
-        s_vals[rows] = _field_values(params.s[i], points[rows], at, interp)
+            q_vals[k, rows] = _field_values(q[i], points[rows], at)
+        s_vals[rows] = _field_values(params.s[i], points[rows], at)
     return _Plan(idx if aligned else None, interp, s_vals, q_vals)
 
 

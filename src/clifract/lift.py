@@ -12,7 +12,8 @@ is the scalar one.
 
 Pointwise algebra (products, conjugation, paravector restriction) acts on
 the stacked rows grid point by grid point.  Products of large supports go
-through a faithful representation of the algebra by complex matrices.
+through a faithful representation of the algebra by complex d x d matrices,
+d = 2^((n-1)/2) at n = 1 mod 4, where Cl(0,n) = M_d(C), and 2^ceil(n/2) else.
 """
 
 from __future__ import annotations
@@ -342,11 +343,10 @@ def pointwise_product(
     for a in f.masks:
         present[a ^ g_masks] = True
     masks = np.flatnonzero(present)
-    d = 1 << ((f.n + 1) // 2)
-    # At M = 4096 and n = 3..9 a pair of rows costs about 12 us, and the matrix
-    # path costs as much as about 2 * 2^n * d + 512 pairs: 1,000 pairs at n = 5,
-    # 4,700 at n = 7, 30,000 at n = 9.  The matrix path never runs at n <= 4.
-    if len(f.masks) * len(g.masks) >= (2 << f.n) * d + 512:
+    # At M = 4096 and n = 5..9 a pair of rows costs 12-17 us, and the matrix path as
+    # much as about 650 pairs at n = 5, 4,600 at n = 7 and 10,000 at n = 9, at or below
+    # 2 * 2^n * d + 512 (768, 4,608, 16,896).  The matrix path never runs at n <= 4.
+    if len(f.masks) * len(g.masks) >= (2 << f.n) * _rep_dim(f.n) + 512:
         out = _matrix_product(f, g, masks)
     else:
         out = _pair_product(f, g, masks)
@@ -369,16 +369,23 @@ def _pair_product(
     return out
 
 
+def _rep_dim(n: int) -> int:
+    """The matrix size d: 2^((n-1)/2) at n = 1 mod 4, else 2^ceil(n/2)."""
+    return 1 << (n // 2 if n % 4 == 1 else (n + 1) // 2)
+
+
 @lru_cache(maxsize=None)
 def _rep_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather tables of a faithful representation of Cl(0,n) by complex d x d matrices.
 
-    d = 2^ceil(n/2).  The Jordan-Wigner generators are e_(2k+1) = i Z..Z X I..I
-    and e_(2k+2) = i Z..Z Y I..I, with X or Y on qubit k (bit k of a row index),
-    and Gamma_A is the ascending product of A's generators, so that
-    Gamma_A Gamma_B = _sign_table(n)[A, B] Gamma_(A^B).  Each Gamma_A is a
-    phased permutation: row r holds i^p at column col_A(r), and p has the
-    parity of |A|.  A matrix is stored as 2 d^2 real slots, slot
+    d = _rep_dim(n).  The Jordan-Wigner generators are e_(2k+1) = i Z..Z X I..I
+    and e_(2k+2) = i Z..Z Y I..I, with X or Y on qubit k (bit k of a row index).
+    At n = 1 mod 4, omega = e1...en is central with omega^2 = -1, so Cl(0,n) is
+    M_d(C) (P. Lounesto, Clifford Algebras and Spinors, 2001): there e_n is
+    i Gamma_(1...n-1), and Gamma_omega = i I.  Gamma_A is the ascending product
+    of A's generators, so that Gamma_A Gamma_B = _sign_table(n)[A, B] Gamma_(A^B).
+    Each Gamma_A is a phased permutation: row r holds i^p at column col_A(r), and
+    p has the parity of |A|.  A matrix is stored as 2 d^2 real slots, slot
     2 (r d + c) + 0 or 1 holding the real or imaginary part of entry (r, c).
 
     `forward[k, slot]` is the k-th term of that slot in F = sum_A f_A Gamma_A,
@@ -386,7 +393,7 @@ def _rep_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     the zero pads slots with fewer terms.  `back[r, C]` is the signed slot
     (slots, then their negatives) that row r adds to Re tr(Gamma_C^H H).
     """
-    d = 1 << ((n + 1) // 2)
+    d = _rep_dim(n)
     rows = np.arange(d)
     col = np.empty((1 << n, d), dtype=np.intp)
     power = np.zeros((1 << n, d), dtype=np.intp)
@@ -397,6 +404,8 @@ def _rep_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
         gen_power = 1 + 2 * _POPCOUNT[rows & (qubit - 1)]  # i times the Z signs below
         if j & 1:  # Y: -i on rows with the qubit clear, +i where it is set
             gen_power += np.where(rows & qubit, 1, 3)
+        if qubit == d:  # the last generator at n = 1 mod 4: i Gamma_(1...n-1)
+            gen_col, gen_power = col[(1 << j) - 1], power[(1 << j) - 1] + 1
         # Gamma_(A + e_j) = Gamma_A e_j for every A below bit j: compose the permutations.
         below = col[: 1 << j]
         col[1 << j : 2 << j] = gen_col[below]

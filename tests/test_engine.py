@@ -222,6 +222,10 @@ def test_stored_weight_pullback_is_np_interp_bit_for_bit(case):
     assert _same_bits(interp(stack[:0]), expected[:0])
     for row, want in zip(stack, expected):
         assert _same_bits(interp(row), want)
+    # A tile's own weights: the points of a slice alone, as sampled fields are read.
+    cuts = [0, len(x) // 3, 2 * len(x) // 3, len(x)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        assert _same_bits(interp.tile(slice(lo, hi))(stack), expected[:, lo:hi])
 
 
 # ---------------------------------------------------------------------------

@@ -505,15 +505,24 @@ def mask_pairs(n, rng):
 def test_representation_matches_the_sign_oracle(n, rng):
     gamma = functools.cache(lambda mask: gamma_matrix(n, mask))
     pairs = mask_pairs(n, rng)
-    assert np.array_equal(gamma(0), np.eye(1 << ((n + 1) // 2)))
+    d = lift._rep_tables(n)[1].shape[0]
+    omega = (1 << n) - 1
+    assert np.array_equal(gamma(0), np.eye(d))
     for a, b in pairs:
         sign, c = blade_mul_oracle(a, b)
         assert np.array_equal(gamma(a) @ gamma(b), sign * gamma(c)), (a, b)
+    # h_C = Re tr(Gamma_C^H H) / d reads every blade back because Re tr(Gamma_A) = 0 for
+    # A != 0; only the central omega of n = 1 mod 4 has a nonzero (imaginary) trace.
     for mask in {m for pair in pairs for m in pair} - {0}:
-        assert np.trace(gamma(mask)) == 0, mask
+        trace = np.trace(gamma(mask))
+        assert trace.real == 0, mask
+        assert trace == 0 or (n % 4 == 1 and mask == omega), mask
+    if n % 4 == 1:
+        assert d == 1 << (n // 2)
+        assert any(np.array_equal(gamma(omega), phase * np.eye(d)) for phase in (1j, -1j))
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 9, 12])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 12])
 def test_forward_table_lists_the_entries_of_the_back_table(n):
     forward, back = lift._rep_tables(n)
     size, d = 1 << n, back.shape[0]
@@ -539,7 +548,7 @@ def random_function(n, grid_m, masks, rng):
     )
 
 
-@pytest.mark.parametrize("n", [3, 4, 8, 9])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize("support", ["full", "sparse"])
 def test_matrix_path_agrees_with_the_pair_loop(n, support, rng):
     size = 1 << n
