@@ -9,19 +9,24 @@ Exit codes: 0 success (for check: configured gate < 1), 1 failed gate check,
 2 configuration errors (an unwritable solve output included), 3 gate >= 1
 on solve, no sup-norm certificate, or non-convergence.  CSV output follows
 RFC 4180 with floats at 17 significant digits; identical configs and
-seeds produce byte-identical files.  CLIFRACT_OUTPUT_DIR, when set, anchors
-relative output paths.  With --quiet, solve and check skip the random
-contraction probe and the residual, which only their reports print.
+seeds produce byte-identical files.  Every CSV cell is the bytes of
+`'%.17g' % v`, as in earlier versions, made in numpy blocks from one
+np.longdouble product per cell; the few cells that product cannot settle
+go through Python's `%.17g` (see `_csv_block`).  CLIFRACT_OUTPUT_DIR, when
+set, anchors relative output paths.  With --quiet, solve and check skip the
+random contraction probe and the residual, which only their reports print.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +53,17 @@ EXIT_GATE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-_BLOCK_ROWS = 4096
+# Cells per block of the solution writers; a CSV block's byte matrix holds up to 31 bytes a cell.
+_CELL_CAP = 1 << 16
+# The CSV digit step needs np.longdouble to carry at least a 64-bit significand.
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+# For 0 <= k <= 27, 10^k is exact in 64 bits, and so is m * 10^k for an odd m <= this bound.
+_EXACT_LIMIT = np.array([(2**64 - 1) // 5**k for k in range(28)], dtype=np.uint64)
+# Per layout class (exponent clipped to -5..17, plus 5): the digit the point follows
+# (17: none), and the `0.000` prefix bytes of the fixed notation below 1.
+_POINT = np.array([0, 17, 17, 17, 17, *range(17), 0], dtype=np.uint8)
+_PREFIX = np.zeros((5, 23), dtype=np.uint8)
+_PREFIX[:, 1:5] = np.frombuffer(b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", np.uint8).reshape(4, 5).T
 
 
 def _fmt(value: float) -> str:
@@ -169,29 +184,167 @@ def _write_solution(
 ) -> None:
     """Write one row per grid point; a lone `value` column is scalar mode.
 
-    Blocks of rows bound the memory; each block is one row template applied
-    with `%`.  The bytes are those of `csv.writer` with `format(v, ".17g")`
-    cells, or of `json.dumps(rows, indent=2) + "\n"`, whose floats are
-    `float.__repr__`, the `%r` of a Python float.
+    Blocks of at most `_CELL_CAP` cells bound the memory.  The CSV bytes are
+    those of `csv.writer` with `format(v, ".17g")` cells (see `_csv_block`).
+    The JSON bytes are those of `json.dumps(rows, indent=2) + "\n"`, whose
+    floats are `float.__repr__`, the `%r` of a Python float; each block is one
+    row template applied with `%`.
     """
+    step = max(1, _CELL_CAP // (1 + len(columns)))
+    blocks = (
+        np.column_stack([xs[lo : lo + step], *(col[lo : lo + step] for col in columns)])
+        for lo in range(0, len(xs), step)
+    )
     if fmt == "csv":
-        row, sep = ",".join(["%.17g"] * (1 + len(columns))) + "\r\n", ""
-    elif names == ["value"]:
-        row, sep = '  {\n    "x": %r,\n    "value": %r\n  }', ",\n"
+        header = io.StringIO()
+        csv.writer(header).writerow(["x", *names])
+        with open(path, "wb") as fh:
+            fh.write(header.getvalue().encode())
+            fh.writelines(map(_csv_block, blocks))
+        return
+    if names == ["value"]:
+        row = '  {\n    "x": %r,\n    "value": %r\n  }'
     else:
         coeffs = ",\n".join(f"      {json.dumps(name)}: %r" for name in names)
-        row, sep = '  {\n    "x": %r,\n    "coeffs": {\n' + coeffs + "\n    }\n  }", ",\n"
+        row = '  {\n    "x": %r,\n    "coeffs": {\n' + coeffs + "\n    }\n  }"
     with open(path, "w", newline="") as fh:
-        if fmt == "csv":
-            csv.writer(fh).writerow(["x", *names])
-        else:
-            fh.write("[\n")
-        for lo in range(0, len(xs), _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            cells = np.column_stack([xs[block], *(col[block] for col in columns)])
-            fh.write((sep if lo else "") + sep.join([row] * len(cells)) % tuple(cells.ravel().tolist()))
-        if fmt == "json":
-            fh.write("\n]\n")
+        fh.write("[\n")
+        for i, cells in enumerate(blocks):
+            fh.write((",\n" if i else "") + ",\n".join([row] * len(cells)) % tuple(cells.ravel().tolist()))
+        fh.write("\n]\n")
+
+
+@lru_cache(maxsize=1)
+def _pow10() -> np.ndarray:
+    """10^k at index k + 360 for k = -360..360, rounded to nearest at 64 significant bits."""
+    table = np.empty(721, dtype=np.longdouble)
+    for k in range(-360, 361):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        # Scale by 2^shift so that the quotient q lands in [2^63, 2^64).
+        shift = 63 - num.bit_length() + den.bit_length()
+        num, den = num << max(shift, 0), den << max(-shift, 0)
+        if num < den << 63:
+            num, shift = num << 1, shift + 1
+        q, r = divmod(num, den)
+        q += 2 * r > den or (2 * r == den and q & 1)
+        # Both halves and the sum are exact, even for q = 2^64.
+        table[k + 360] = np.ldexp(np.longdouble(q >> 32) * 2**32 + (q & 0xFFFFFFFF), -shift)
+    table.flags.writeable = False
+    return table
+
+
+def _csv_block(cells: np.ndarray) -> bytes:
+    """CSV rows of a (rows, cols) block: `'%.17g'` cells, `,` between, CRLF after each row.
+
+    Digits: with e = floor(log10|v|), stepped until 10^16 <= s < 10^17, the
+    product s = |v| * 10^(16-e) in np.longdouble holds the 17 significant
+    digits.  The table entry and the product each round by at most 2^-64
+    relative, so s is within s * 2^-63 (< 0.011) of the exact product, and
+    rounding to the nearest integer is settled unless frac(s) lies within
+    that band of 1/2.  In the band, an exact product (10^(16-e) exact, and the
+    significand's odd part times 5^(16-e) below 2^64) breaks ties to even;
+    every other cell in the band goes through Python's `%.17g` in one batch,
+    as do non-finite cells.  Without a 64-bit np.longdouble every cell does.
+
+    Layout follows `%g` on the rounded exponent: fixed notation for
+    exponents -4..16, else `e+XX`/`e-XX`, trailing zeros and a bare point
+    dropped, `-0` kept.  The rows of one byte matrix are the byte positions
+    of every cell: sign, the `0.000` prefix, 17 digit slots with one point
+    slot, exponent, separators.  Zero bytes are padding, removed at the end.
+    """
+    rows, ncol = cells.shape
+    v = cells.ravel()
+    if not _EXTENDED:
+        return ("".join([",".join(["%.17g"] * ncol) + "\r\n"] * rows) % tuple(v.tolist())).encode()
+    n = v.size
+    a = np.abs(v)
+    ok = np.isfinite(a)
+    nonzero = ok & (a != 0)
+    a[~nonzero] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int16)
+    pow10 = _pow10()
+    s = a.astype(np.longdouble) * pow10[376 - e]
+    d = s.astype(np.uint64)
+    fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    e[fix] += np.where(d[fix] < 10**16, -1, 1)
+    s[fix] = a[fix].astype(np.longdouble) * pow10[376 - e[fix]]
+    d[fix] = s[fix].astype(np.uint64)
+    frac = np.subtract(s, d, out=s).astype(np.float32)
+    up = frac > 0.5
+    near = np.flatnonzero(np.abs(frac - 0.5) <= 0.011)
+    near = near[np.abs(frac[near] - 0.5) <= d[near] * 1.1e-19]
+    k = 16 - e[near]
+    odd = a[near].view(np.uint64) & np.uint64(2**52 - 1) | np.uint64(2**52)
+    odd >>= np.bitwise_count((odd & (~odd + np.uint64(1))) - np.uint64(1))
+    exact = (k >= 0) & (k <= 27) & (odd <= _EXACT_LIMIT[np.clip(k, 0, 27)])
+    up[near] |= exact & (frac[near] == 0.5) & (d[near] % 2 == 1)
+    ok[near[~exact]] = False
+    d += up
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    d[~nonzero] = 0
+    e[~nonzero] = 0
+
+    # Row 0 is the leading digit; rows 1-16 come from two eight-digit halves,
+    # split into four-digit groups, then into pairs of digits.
+    digits = np.empty((17, n), np.uint8)
+    head = d // 10**8
+    halves = np.empty((2, n), np.uint32)
+    halves[1] = d - head * 10**8
+    digits[0] = head // 10**8
+    halves[0] = head - digits[0] * np.uint64(10**8)
+    groups = np.empty((4, n), np.uint16)
+    q = halves // 10**4
+    groups[0::2] = q
+    groups[1::2] = halves - q * 10**4
+    pairs = np.empty((8, n), np.uint8)
+    q = groups // 100
+    pairs[0::2] = q
+    pairs[1::2] = groups - q * 100
+    q = pairs // 10
+    digits[1::2] = q
+    digits[2::2] = pairs - q * 10
+    # Layout class: exponent -5 or below, -4..16 (fixed), 17 or above.
+    cls = np.clip(e, -5, 17) + 5
+    point = _POINT[cls]
+    # Trailing zeros after the point become padding; `last` is the last digit kept.
+    whole = np.where(point < 17, point, 0)
+    live = np.zeros(n, bool)
+    last = np.zeros(n, np.uint8)
+    for p in range(16, 0, -1):
+        live |= (digits[p] != 0) | (whole >= p)
+        last += live
+        digits[p] += 48 * live.view(np.uint8)
+    digits[0] += 48
+    sci = np.flatnonzero((cls == 0) | (cls == 22))
+    # Rows: sign, prefix, 18 digit and point slots, exponent (if any cell needs one), separators.
+    matrix = np.empty((26 + 5 * bool(sci.size), n), np.uint8)
+    matrix[0] = np.signbit(v) * np.uint8(45)
+    matrix[1:6] = np.take(_PREFIX, cls, axis=1)
+    # Digit p sits in slot p up to the point, in slot p + 1 after it.
+    before = np.negative((point >= np.arange(1, 18, dtype=np.uint8)[:, None]).view(np.uint8))
+    matrix[6] = digits[0]
+    matrix[7:23] = digits[:16] ^ (digits[:16] ^ digits[1:]) & before[:16]
+    matrix[23] = digits[16] & ~before[16]
+    matrix[24:-2] = 0
+    matrix.reshape(-1)[(7 + point.astype(np.intp)) * n + np.arange(n)] = (last > point) * np.uint8(46)
+    if sci.size:
+        x = e[sci]
+        matrix[24, sci] = 101
+        matrix[25, sci] = np.where(x < 0, 45, 43)
+        matrix[26, sci] = np.where(abs(x) >= 100, 48 + abs(x) // 100, 0)
+        matrix[27, sci] = 48 + abs(x) // 10 % 10
+        matrix[28, sci] = 48 + abs(x) % 10
+    sep = np.zeros((2, ncol), np.uint8)
+    sep[0] = 44
+    sep[:, -1] = 13, 10
+    matrix[-2:] = np.tile(sep, rows)
+    bad = np.flatnonzero(~ok)
+    text = np.array([b"%.17g" % x for x in v[bad].tolist()], dtype="S24")
+    matrix[:24, bad] = text.view(np.uint8).reshape(-1, 24).T
+    matrix[24:-2, bad] = 0
+    return matrix.tobytes("F").translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +409,12 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 first = fh.readline()
             if first.lstrip().startswith("["):
                 rows = json.loads(first + fh.read())
-                xs = np.array([row["x"] for row in rows], dtype=float)
+                xs = _json_numbers("x", [row["x"] for row in rows])
                 if "value" in rows[0]:
-                    return ["value"], xs, np.array([[row["value"]] for row in rows], dtype=float)
+                    return ["value"], xs, _json_numbers("value", [row["value"] for row in rows])[:, None]
                 keys = list(rows[0]["coeffs"])
-                data = [[row["coeffs"][key] for key in keys] for row in rows]
-                return keys, xs, np.array(data, dtype=float)
+                data = [_json_numbers(key, [row["coeffs"][key] for row in rows]) for key in keys]
+                return keys, xs, np.array(data).reshape(len(keys), len(rows)).T
             header = next(csv.reader([first]), None)
             if not header or header[0] != "x":
                 raise ConfigError("<solution>", "expected a CSV header starting with 'x'")
@@ -273,11 +426,18 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
         raise
     except OSError as exc:
         raise ConfigError("<solution>", f"cannot read {path}: {exc}") from exc
-    except (IndexError, KeyError, TypeError, ValueError, csv.Error) as exc:
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError, csv.Error) as exc:
         raise ConfigError("<solution>", f"malformed solution file: {exc!r}") from exc
     if matrix.shape[0] == 0 or matrix.shape[1] != len(header):
         raise ConfigError("<solution>", "malformed CSV body")
     return header[1:], matrix[:, 0], matrix[:, 1:]
+
+
+def _json_numbers(name: str, cells: list) -> np.ndarray:
+    """One JSON column as floats; booleans, strings and nulls are not numbers."""
+    if not all(type(cell) in (int, float) for cell in cells):
+        raise ConfigError("<solution>", f"column {name!r} holds a value that is not a number")
+    return np.array(cells, dtype=float)
 
 
 def _cmd_eval(args) -> int:

@@ -417,14 +417,29 @@ def _reference_csv(path, xs, names, columns):
             writer.writerow([format(v, ".17g") for v in row])
 
 
+# Cells where the writer's digit step needs care: signed zeros, subnormals and
+# extremes, exact ties at 17 digits (odd multiples of 2^-20 in [0.001, 0.01)),
+# and both switch points of `%g`: 1e-4 (e-05 to fixed) and 1e17 (fixed to e+17).
+SPECIAL_CELLS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1 / 3,
+    1049 / 2**20, 1051 / 2**20, -1053 / 2**20, 0.2861003875732421875,
+    9.9999999999999999e-5, 1e-4, float(np.nextafter(1e-4, 0.0)),
+    9.9999999999999998e16, 1e17, float(np.nextafter(1e17, 0.0)),
+]
+
+
 def _solution_columns(n_blades):
-    """Two blocks and a partial one of rows, with signed zeros, subnormals and extremes."""
+    """Two full blocks of rows under the cell cap and a partial one.
+
+    `x` runs over multiples of 2^-20, so its cells include exact ties; every
+    other column starts with `SPECIAL_CELLS`.
+    """
     rng = np.random.default_rng(3)
-    rows = 2 * cli._BLOCK_ROWS + 3
-    xs = np.linspace(0.0, 1.0, rows)
+    rows = 2 * (cli._CELL_CAP // (1 + n_blades)) + 3
+    xs = np.arange(rows) / 2.0**20
     columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(n_blades)]
     for col in columns:
-        col[:8] = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1 / 3]
+        col[: len(SPECIAL_CELLS)] = SPECIAL_CELLS
     return xs, columns
 
 
@@ -455,6 +470,20 @@ def test_json_writer_matches_one_json_dumps(tmp_path, names):
     assert (tmp_path / "out.json").read_text() == json.dumps(rows, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("cap", [1, 7, 4096])
+@pytest.mark.parametrize("names", [["value"], ["", "1", "2", "12"]], ids=["scalar", "n2"])
+def test_solution_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, names, cap):
+    xs, columns = _solution_columns(len(names))
+    rows = max(40, 3 * (cap // (1 + len(names))) + 1)
+    xs, columns = xs[:rows], [col[:rows] for col in columns]
+    for fmt in ("csv", "json"):
+        cli._write_solution(tmp_path / f"one.{fmt}", fmt, xs, names, columns)
+    monkeypatch.setattr(cli, "_CELL_CAP", cap)
+    for fmt in ("csv", "json"):
+        cli._write_solution(tmp_path / f"capped.{fmt}", fmt, xs, names, columns)
+        assert (tmp_path / f"capped.{fmt}").read_bytes() == (tmp_path / f"one.{fmt}").read_bytes()
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -468,10 +497,16 @@ def test_json_writer_matches_one_json_dumps(tmp_path, names):
         "x,value\r\n0,1\r\n0.5,nan\r\n1,2\r\n",
         "x,value\r\n0,1\r\n0.5,-inf\r\n1,2\r\n",
         json.dumps([{"x": 0.0, "value": 1.0}, {"x": 1.0, "value": None}]),
+        json.dumps([{"x": False, "value": "1e5"}, {"x": True, "value": True}]),
+        json.dumps([{"x": 0.0, "value": "1e5"}, {"x": 1.0, "value": 2.0}]),
+        json.dumps([{"x": 0.0, "coeffs": {"": 1.0, "1": True}}, {"x": 1.0, "coeffs": {"": 1.0, "1": 0.0}}]),
+        json.dumps([{"x": 0.0, "coeffs": {"": "1", "1": 0.0}}, {"x": 1.0, "coeffs": {"": 1.0, "1": 0.0}}]),
+        '[{"x": 0, "value": 1}, {"x": 1%s, "value": 2}]' % ("0" * 400),
     ],
     ids=[
         "header-only", "ragged-row", "non-numeric-cell", "hash-in-cell", "x-decreasing", "binary",
-        "empty-json", "nan-cell", "inf-cell", "json-null",
+        "empty-json", "nan-cell", "inf-cell", "json-null", "json-bool-x", "json-string-value",
+        "json-bool-coeff", "json-string-coeff", "json-huge-int",
     ],
 )
 def test_malformed_solution_exits_2_without_warnings(tmp_path, capsys, content):
@@ -486,3 +521,19 @@ def test_malformed_solution_exits_2_without_warnings(tmp_path, capsys, content):
     assert caught == []
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rows, column",
+    [
+        ([{"x": False, "value": "1e5"}, {"x": True, "value": True}], "x"),
+        ([{"x": 0.0, "value": 1.0}, {"x": 1.0, "value": "2"}], "value"),
+        ([{"x": 0.0, "coeffs": {"": 1.0, "12": False}}, {"x": 1.0, "coeffs": {"": 1.0, "12": 0.0}}], "12"),
+    ],
+    ids=["bool-x", "string-value", "bool-coeff"],
+)
+def test_json_solution_cells_must_be_numbers(tmp_path, capsys, rows, column):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(rows))
+    assert main(["eval", str(solution), "--at", "0.5"]) == 2
+    assert f"column {column!r} holds a value that is not a number" in capsys.readouterr().err
