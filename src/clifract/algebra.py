@@ -50,8 +50,9 @@ __all__ = [
 
 
 def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension n must be an integer in [1, {MAX_DIMENSION}], got {n!r}")
+    """n = 0 is Cl(0,0) = R: one coefficient, the scalar blade."""
+    if not isinstance(n, int) or not 0 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension n must be an integer in [0, {MAX_DIMENSION}], got {n!r}")
 
 
 def _check_mask(mask: int, n: int) -> None:

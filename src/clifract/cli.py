@@ -33,15 +33,7 @@ import numpy as np
 
 from .algebra import blade_key
 from .config import ConfigError, ProblemSetup, build_problem, load_config
-from .engine import (
-    ConvergenceError,
-    SpaceSpec,
-    _grid_points,
-    empirical_gamma,
-    fixed_point,
-    gamma_gate,
-    rb_apply,
-)
+from .engine import ConvergenceError, SpaceSpec, _grid_points, empirical_gamma, gamma_gate
 from .lift import clifford_empirical_gamma, clifford_fixed_point, residual
 
 __all__ = ["main"]
@@ -122,10 +114,17 @@ def _resolve_output(args, setup: ProblemSetup, fmt: str) -> Path:
 
 
 def _probe(setup: ProblemSetup) -> float:
-    """The seeded random contraction probe of the problem's operator."""
-    cfg = setup.config
-    probe = empirical_gamma if setup.scalar_mode else clifford_empirical_gamma
-    return probe(setup.params, cfg.grid_m, cfg.trials, cfg.seed)
+    """The seeded random contraction probe of the problem's operator.
+
+    At n = 0 the probe applies the operator with its q, as the scalar probe
+    always has; the lifted probe drops q, which the linear factor allows.  The
+    two round differently in the last bit, either way round depending on the
+    problem, so each kind of config keeps the probe it has always printed.
+    """
+    cfg, params = setup.config, setup.params
+    if cfg.n == 0:
+        return empirical_gamma(params.component_params(0), cfg.grid_m, cfg.trials, cfg.seed)
+    return clifford_empirical_gamma(params, cfg.grid_m, cfg.trials, cfg.seed)
 
 
 def _cmd_solve(args) -> int:
@@ -143,21 +142,18 @@ def _cmd_solve(args) -> int:
     fmt = args.format or (cfg.output or {}).get("format") or "csv"
     out_path = _resolve_output(args, setup, fmt)
 
-    solver = fixed_point if setup.scalar_mode else clifford_fixed_point
     try:
-        result = solver(params, cfg.grid_m, tol=cfg.tol, max_iter=cfg.max_iter)
+        result = clifford_fixed_point(params, cfg.grid_m, tol=cfg.tol, max_iter=cfg.max_iter)
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     psi = result.function
 
-    if setup.scalar_mode:
-        names, columns = ["value"], [psi.values]
-    else:
-        # One column per blade: stack rows, and one shared zero row for absent blades.
-        names = [blade_key(mask) for mask in range(1 << psi.n)]
-        rows, zero = dict(zip(psi.masks, psi.values)), np.zeros(psi.grid_m + 1)
-        columns = [rows.get(mask, zero) for mask in range(1 << psi.n)]
+    # One column per blade: stack rows, and one shared zero row for absent blades.
+    # The one blade of an n = 0 solution keeps the column name `value`.
+    names = [blade_key(mask) for mask in range(1 << psi.n)] if psi.n else ["value"]
+    rows, zero = dict(zip(psi.masks, psi.values)), np.zeros(psi.grid_m + 1)
+    columns = [rows.get(mask, zero) for mask in range(1 << psi.n)]
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_solution(out_path, fmt, _grid_points(psi.partition, psi.grid_m), names, columns)
@@ -165,16 +161,10 @@ def _cmd_solve(args) -> int:
         raise ConfigError("output", f"cannot write {out_path}: {exc}") from exc
 
     if not args.quiet:
-        if setup.scalar_mode:
-            iterations = result.iterations
-            resid = float(np.max(np.abs(rb_apply(params, psi).values - psi.values)))
-        else:
-            iterations = max(result.iterations.values(), default=1)
-            resid = residual(params, psi)
-        print(f"iterations: {iterations}")
+        print(f"iterations: {max(result.iterations.values(), default=1)}")
         print(f"gamma[{cfg.space.tag}]: {_fmt(gate)}")
         print(f"empirical gamma: {_fmt(_probe(setup))}")
-        print(f"residual: {_fmt(resid)}")
+        print(f"residual: {_fmt(residual(params, psi))}")
         print(f"output: {out_path}")
     return EXIT_OK
 
@@ -182,7 +172,7 @@ def _cmd_solve(args) -> int:
 def _write_solution(
     path: Path, fmt: str, xs: np.ndarray, names: list[str], columns: list[np.ndarray]
 ) -> None:
-    """Write one row per grid point; a lone `value` column is scalar mode.
+    """Write one row per grid point; a lone `value` column is an n = 0 solution.
 
     Blocks of at most `_CELL_CAP` cells bound the memory.  The CSV bytes are
     those of `csv.writer` with `format(v, ".17g")` cells (see `_csv_block`).

@@ -1,9 +1,11 @@
 """JSON problem configurations for the command line front end.
 
-A config describes one solve: the algebra dimension (0 requests scalar
-mode), the partition, per-tile q and s data, the carrier grid, tolerances,
-the function space whose gate certifies the solve, and the probe seed.
-Interpolation problems can be stated directly as data points under "fif".
+A config describes one solve: the algebra dimension, the partition, per-tile
+q and s data, the carrier grid, tolerances, the function space whose gate
+certifies the solve, and the probe seed.  Interpolation problems can be
+stated directly as data points under "fif".  At n = 0 the algebra is
+Cl(0,0) = R: q entries and fif.y are given bare, without blade keys, and
+the problem is the one-row lifted problem of the scalar blade.
 
 Parsing is strict: unknown keys, wrong types, and inconsistent sizes are
 rejected with the offending field named, and parse -> serialize -> parse is
@@ -22,7 +24,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .algebra import MAX_DIMENSION, TEXT_FORM_MAX, parse_blade_key
-from .engine import Field, GridFunction, Poly, RBParams, SpaceSpec, fif_from_data
+from .engine import Field, GridFunction, Poly, SpaceSpec
 from .lift import CliffordRBParams, clifford_fif_from_data
 from .partition import AffinePartition, from_knots, uniform_partition
 
@@ -119,10 +121,6 @@ class ProblemConfig:
     space: SpaceSpec = field(default_factory=lambda: SpaceSpec.ck(0))
     output: dict | None = None
 
-    @property
-    def scalar_mode(self) -> bool:
-        return self.n == 0
-
     def to_dict(self) -> dict:
         data: dict[str, Any] = {
             "schema_version": SCHEMA_VERSION,
@@ -163,7 +161,7 @@ class ProblemConfig:
 
         n = _require(data, "n", int)
         if not 0 <= n <= MAX_DIMENSION:
-            raise ConfigError("n", f"must lie in 0..{MAX_DIMENSION} (0 selects scalar mode)")
+            raise ConfigError("n", f"must lie in 0..{MAX_DIMENSION} (0 is the real line, Cl(0,0) = R)")
         if n > TEXT_FORM_MAX:
             raise ConfigError("n", f"blade keys limit configs to n <= {TEXT_FORM_MAX}")
         grid_m = _require(data, "grid_M", int)
@@ -191,6 +189,8 @@ class ProblemConfig:
         fif_spec = _parse_fif_spec(data["fif"], n) if has_fif else None
         if fif_spec is not None:
             n_maps = len(fif_spec["x"]) - 1
+        if grid_m < n_maps:
+            raise ConfigError("grid_M", f"must be >= N = {n_maps}")
 
         q_spec = None
         if "q" in data:
@@ -414,11 +414,7 @@ class ProblemSetup:
 
     config: ProblemConfig
     partition: AffinePartition
-    params: RBParams | CliffordRBParams
-
-    @property
-    def scalar_mode(self) -> bool:
-        return self.config.scalar_mode
+    params: CliffordRBParams
 
 
 def _build_field(spec: Any, partition: AffinePartition, grid_m: int, label: str) -> Field:
@@ -432,6 +428,14 @@ def _build_field(spec: Any, partition: AffinePartition, grid_m: int, label: str)
     if len(samples) != grid_m + 1:
         raise ConfigError(label, f"expected grid_M+1 = {grid_m + 1} samples, got {len(samples)}")
     return GridFunction(partition, np.asarray(samples))
+
+
+def _blades(config: ProblemConfig, entry: Any, label: str) -> list[tuple[str, Any, str]]:
+    """(blade key, spec, label) per blade of a q entry or of the fif ordinates;
+    at n = 0 the entry is the one blade of Cl(0,0) = R, under its own label."""
+    if config.n == 0:
+        return [("", entry, label)]
+    return [(key, spec, f"{label}.{key or '<scalar>'}") for key, spec in entry.items()]
 
 
 def build_problem(config: ProblemConfig) -> ProblemSetup:
@@ -448,10 +452,8 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
         with _naming("fif.x"):
             from_knots(x)  # the partition the builders below make again
         with _naming("fif.y"):
-            if config.scalar_mode:
-                params: RBParams | CliffordRBParams = fif_from_data(x, config.fif["y"], s)
-            else:
-                params = clifford_fif_from_data(config.n, x, config.fif["y"], s)
+            ys = {key: data for key, data, _ in _blades(config, config.fif["y"], "fif.y")}
+            params = clifford_fif_from_data(config.n, x, ys, s)
         return ProblemSetup(config, params.partition, params)
 
     layout = config.partition
@@ -463,22 +465,14 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
     n_maps = partition.size
     if len(config.s) != n_maps or len(config.q) != n_maps:
         raise ConfigError("q", f"expected {n_maps} q and s entries")
-    if config.grid_m < n_maps:
-        raise ConfigError("grid_M", f"must be >= N = {n_maps}")
     s_fields = tuple(
         _build_field(entry, partition, config.grid_m, f"s[{i}]")
         for i, entry in enumerate(config.s)
     )
-    if config.scalar_mode:
-        q_fields = tuple(
-            _build_field(entry, partition, config.grid_m, f"q[{i}]")
-            for i, entry in enumerate(config.q)
-        )
-        return ProblemSetup(config, partition, RBParams(partition, q_fields, s_fields))
     q_blades = tuple(
         {
-            key: _build_field(spec, partition, config.grid_m, f"q[{i}].{key or '<scalar>'}")
-            for key, spec in entry.items()
+            key: _build_field(spec, partition, config.grid_m, label)
+            for key, spec, label in _blades(config, entry, f"q[{i}]")
         }
         for i, entry in enumerate(config.q)
     )

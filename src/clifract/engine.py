@@ -357,13 +357,21 @@ def _iterate_row(
     # One step buffer for the whole loop: with apply finishing in place, a fresh
     # step array per iteration made this loop 5-15% slower at M = 2^16.
     step = np.empty(values.shape)
-    for iteration in range(1, max_iter + 1):
-        new_values = plan.apply(values, row)
-        diff = float(np.max(np.abs(np.subtract(new_values, values, out=step), out=step)))
-        values = new_values
-        bound = lead * diff / (1.0 - rho)
-        if bound <= tol:
-            return values, iteration, bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
+            new_values = plan.apply(values, row)
+            diff = float(np.max(np.abs(np.subtract(new_values, values, out=step), out=step)))
+            if not math.isfinite(diff):
+                raise ConvergenceError(
+                    f"no convergence: step {iteration} = {diff} overflows (rho = {rho:.3e})",
+                    iterations=iteration,
+                    residual=diff,
+                    row=row,
+                )
+            values = new_values
+            bound = lead * diff / (1.0 - rho)
+            if bound <= tol:
+                return values, iteration, bound
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (rho = {rho:.3e}, "
         f"last step {diff:.3e}, tol {tol:.3e})",
@@ -458,8 +466,15 @@ def _double_rows(
         else:
             np.subtract(np.add(block, shift, out=work), initial, out=work)
             np.abs(work, out=work)
-        # A step that overflowed never passes, so such a row runs into max_iter.
         step = work.max(axis=1)
+        overflowed = np.flatnonzero(active & ~np.isfinite(step))
+        if overflowed.size:
+            raise ConvergenceError(
+                f"no convergence: step {n} = {step[overflowed[0]]} overflows (rho_{n} = {rho:.3e})",
+                iterations=n,
+                residual=float(step[overflowed[0]]),
+                row=rows.start + int(overflowed[0]),
+            )
         if rho < 1.0:
             bound = rho * step / (1.0 - rho)
             done = active & (bound <= tol)
@@ -567,9 +582,12 @@ def empirical_gamma(params: RBParams, grid_m: int, trials: int, seed: int) -> fl
         denom = float(np.max(np.abs(f - g)))
         if denom == 0.0:
             continue
-        numer = float(np.max(np.abs(plan.apply(f) - plan.apply(g))))
-        worst = max(worst, numer / denom)
-    return worst
+        # Huge q or s overflow T f; the ratio is then the formula's own inf or nan,
+        # and np.maximum keeps a nan that max() would drop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            numer = float(np.max(np.abs(plan.apply(f) - plan.apply(g))))
+        worst = np.maximum(worst, numer / denom)
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -702,16 +720,18 @@ def gamma_gate(space: SpaceSpec, params) -> float:
     """
     lips = np.array([m.lip for m in params.partition.maps])
     sups = np.array([field_sup(entry) for entry in params.s])
-    if space.tag == "Ck":
-        return float(np.max(lips ** -(space.k + 1) * sups))
-    if space.tag == "CkAlpha":
-        return float(np.max(lips ** -(space.k + space.alpha) * sups))
-    if space.tag == "Lp":
-        return float(np.sum(lips * sups ** space.p))
-    if space.tag in ("Wsp", "Fspq"):
-        return float(np.sum(lips ** (1.0 - space.s * space.p) * sups ** space.p))
-    if space.tag == "Bspq":
-        return float(np.sum(lips ** ((1.0 / space.p - space.s) * space.q) * sups ** space.q))
+    # A power that overflows gives the formula's own inf (or nan for 0 * inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        if space.tag == "Ck":
+            return float(np.max(lips ** -(space.k + 1) * sups))
+        if space.tag == "CkAlpha":
+            return float(np.max(lips ** -(space.k + space.alpha) * sups))
+        if space.tag == "Lp":
+            return float(np.sum(lips * sups ** space.p))
+        if space.tag in ("Wsp", "Fspq"):
+            return float(np.sum(lips ** (1.0 - space.s * space.p) * sups ** space.p))
+        if space.tag == "Bspq":
+            return float(np.sum(lips ** ((1.0 / space.p - space.s) * space.q) * sups ** space.q))
     raise ValueError(f"unknown space tag {space.tag!r}")
 
 

@@ -281,8 +281,24 @@ def clifford_fixed_point(
         ) from exc
     function = CliffordGridFunction._from_stack(params.n, params.partition, grid_m, masks, values)
     iterations = MappingProxyType({mask: int(step) for mask, step in zip(masks, steps)})
-    bound = math.sqrt(sum(bound**2 for bound in bounds))
-    return CliffordFixedPointResult(function, iterations, bound)
+    return CliffordFixedPointResult(function, iterations, float(_euclidean(bounds)))
+
+
+def _euclidean(rows: np.ndarray) -> np.ndarray:
+    """sqrt(sum_k rows[k]^2) over the first axis, the largest norms without
+    underflow or overflow.
+
+    The rows are scaled by 2^-e, with 2^e just above the largest |entry|, before
+    squaring, and the result by 2^e after: power-of-two scaling is exact, so a
+    sum whose squares stay normal unscaled keeps its bits, and one row gives
+    |rows[0]| bit for bit.  The squares are summed row after row.
+    """
+    top = float(np.max(np.abs(rows), initial=0.0))
+    exp = math.frexp(top)[1] if math.isfinite(top) else 0
+    total = 0.0
+    for row in np.ldexp(rows, -exp):
+        total += row * row
+    return np.ldexp(np.sqrt(total), exp)
 
 
 def _mask_label(mask: int) -> str:
@@ -291,7 +307,7 @@ def _mask_label(mask: int) -> str:
 
 def clifford_norm_F(f: CliffordGridFunction, space: SpaceSpec) -> float:
     """Euclidean aggregation sqrt(sum_A ||f_A||^2) of the component norms."""
-    return math.sqrt(sum(norm(space, comp) ** 2 for comp in f.components.values()))
+    return float(_euclidean(np.array([norm(space, comp) for comp in f.components.values()])))
 
 
 def residual(params: CliffordRBParams, psi: CliffordGridFunction) -> float:
@@ -305,8 +321,7 @@ def residual(params: CliffordRBParams, psi: CliffordGridFunction) -> float:
     masks = sorted(set(params.support) | set(psi.masks))
     plan = params._plan(psi.grid_m, masks)
     values = psi._rows(masks)
-    defect = values - plan.apply(values)
-    return float(np.sqrt(np.max(np.sum(defect**2, axis=0))))
+    return float(np.max(_euclidean(values - plan.apply(values))))
 
 
 def clifford_empirical_gamma(

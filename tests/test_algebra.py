@@ -128,7 +128,7 @@ def test_mv_mul_n11_dense_and_sparse_match_oracle(rng):
     np.testing.assert_allclose(product, want, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
 def test_associativity_random(n, rng):
     for _ in range(40):
         x, y, z = (Multivector(n, rng.standard_normal(1 << n)) for _ in range(3))
@@ -137,7 +137,7 @@ def test_associativity_random(n, rng):
         assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
 def test_conj_is_anti_automorphism(n, rng):
     for _ in range(40):
         x = Multivector(n, rng.standard_normal(1 << n))

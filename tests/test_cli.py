@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clifract import cli, clifford_empirical_gamma, empirical_gamma, fif_from_data, fixed_point
 from clifract.cli import main
@@ -356,6 +360,30 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, quiet):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n, partition",
+    [(0, [0.0, 0.3, 1.0]), (1, [0.0, 0.3, 1.0]), (0, [0.0, 0.5, 1.0])],
+    ids=["n0", "n1", "aligned"],
+)
+def test_an_overflowing_solve_exits_3_with_one_line(tmp_path, capsys, n, partition):
+    big = 1.7976931348623157e308
+    config = {
+        "schema_version": 1,
+        "n": n,
+        "grid_M": 32,
+        "partition": {"interval": [0.0, 1.0], "knots": partition},
+        "q": [big, 0.5] if n == 0 else [{"": big}, {"": 0.5}],
+        "s": [0.5, -0.5],
+        "max_iter": 10**6,
+        "space": {"tag": "Lp", "p": 2},
+    }
+    cfg = write_config(tmp_path, config)
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: component 'scalar': ") and "overflows" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["solve", "check"])
 def test_trials_over_the_probe_bound_exit_2(tmp_path, capsys, command):
     # Unbounded, the probe of this config's report would run for months.
@@ -375,11 +403,35 @@ def test_solve_over_the_cell_bound_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "n, y, printed",
+    [
+        (0, [0.0, 1e-160, 0.0], "3.0000000000000003e-161"),
+        (2, {"": [0.0, 1e-160, 0.0], "12": [0.0, 3e-161, 0.0]}, "3.1320919526731652e-161"),
+    ],
+    ids=["n0", "n2"],
+)
+def test_reports_print_residuals_whose_squares_underflow(tmp_path, capsys, n, y, printed):
+    # The n = 0 residual is max|defect|; the n = 2 one is max_j hypot(defect[:, j]).
+    config = {
+        "schema_version": 1,
+        "n": n,
+        "grid_M": 1000,
+        "fif": {"x": [0.0, 0.3, 1.0], "y": y},
+        "s": [0.3, 0.3],
+        "tol": 1e-12,
+        "space": {"tag": "Lp", "p": 2},
+    }
+    cfg = write_config(tmp_path, config)
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
+    assert f"residual: {printed}\n" in capsys.readouterr().out
+
+
 def _diagnostics_raise(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a quiet run computed a diagnostic it does not print")
 
-    for name in ("empirical_gamma", "clifford_empirical_gamma", "rb_apply", "residual"):
+    for name in ("empirical_gamma", "clifford_empirical_gamma", "residual"):
         monkeypatch.setattr(cli, name, fail)
 
 
@@ -395,13 +447,44 @@ def test_quiet_runs_skip_the_probe_and_the_residual(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().out.count("\n") == 1  # the verdict line of check
 
 
-@pytest.mark.parametrize("payload", [FIF_CONFIG, CONSTANT_CONFIG], ids=["scalar", "n2"])
-def test_reports_print_the_library_probe(tmp_path, capsys, payload):
+# scalar_fine's knots, ordinates and multipliers on a small grid.
+SCALAR_FINE_CONFIG = {
+    "schema_version": 1,
+    "n": 0,
+    "grid_M": 64,
+    "fif": {
+        "x": [0.0, 0.25, 0.5, 0.75, 1.0],
+        "y": [0.0012301533574825742, 0.2987455375084699, -0.2741378553622176,
+              -0.8905918387572742, -0.45467078517172255],
+    },
+    "s": [0.5, -0.4, 0.3, 0.5],
+    "seed": 0,
+    "space": {"tag": "Lp", "p": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "payload, printed",
+    [
+        (FIF_CONFIG, None),
+        (CONSTANT_CONFIG, None),
+        # The probe of an n = 0 config applies T with its q; without q it prints 0.5.
+        (SCALAR_FINE_CONFIG, "0.50000000000000011"),
+    ],
+    ids=["scalar", "n2", "scalar_fine"],
+)
+def test_reports_print_the_library_probe(tmp_path, capsys, payload, printed):
     cfg = write_config(tmp_path, payload)
-    setup = build_problem(load_config(cfg))
-    probe = empirical_gamma if setup.scalar_mode else clifford_empirical_gamma
-    conf = setup.config
-    expected = format(probe(setup.params, conf.grid_m, conf.trials, conf.seed), ".17g")
+    conf = load_config(cfg)
+    if conf.n == 0:  # the scalar library's probe of the same problem
+        fif = conf.fif
+        params = fif_from_data(fif["x"], fif["y"], conf.s)
+        value = empirical_gamma(params, conf.grid_m, conf.trials, conf.seed)
+    else:
+        value = clifford_empirical_gamma(build_problem(conf).params, conf.grid_m, conf.trials, conf.seed)
+    expected = format(value, ".17g")
+    if printed is not None:
+        assert expected == printed
     assert main(["solve", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
     assert f"empirical gamma: {expected}\n" in capsys.readouterr().out
     assert main(["check", str(cfg)]) == 0
@@ -537,3 +620,87 @@ def test_json_solution_cells_must_be_numbers(tmp_path, capsys, rows, column):
     solution.write_text(json.dumps(rows))
     assert main(["eval", str(solution), "--at", "0.5"]) == 2
     assert f"column {column!r} holds a value that is not a number" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the config boundary
+# ---------------------------------------------------------------------------
+
+FUZZ_BASES = [
+    {
+        "schema_version": 1,
+        "n": 0,
+        "grid_M": 32,
+        "partition": {"interval": [0.0, 1.0], "N": 2},
+        "q": [{"poly": [0.0, 1.0]}, {"samples": [0.5] * 33}],
+        "s": [0.5, {"samples": [-0.25] * 33}],
+        "space": {"tag": "Lp", "p": 2.0},
+    },
+    SCALAR_FINE_CONFIG,
+    CONSTANT_CONFIG,
+    {
+        "schema_version": 1,
+        "n": 2,
+        "grid_M": 40,
+        "fif": {"x": [0.0, 0.3, 1.0], "y": {"": [0.0, 1.0, -0.5], "12": [2.0, -1.0, 0.5]}},
+        "s": [0.9, -0.9],
+        "trials": 4,
+        "space": {"tag": "Bspq", "s": 0.5, "p": 2.0, "q": 2.0},
+    },
+]
+# Huge, tiny and non-finite numbers, booleans, strings, nulls and wrong shapes.
+FUZZ_VALUES = [
+    1.7976931348623157e308, -1e308, 1e20, 5e-324, -1e-300, 0.0, -0.0, 0.999, -1, 0, 1, 2, 3,
+    2**26, 2**63, 10**30, float("nan"), float("inf"), True, False, None, "", "1", "Lp",
+    [], [1.0], [[0.5]], [1e308, -1e308, 1e308], {}, {"const": 1e308}, {"poly": [1e308, 1e308]},
+    {"samples": [1.0, 2.0]}, {"": 1.0}, {"12": {"const": -1e308}}, {"tag": "Lp", "p": 1e20},
+]
+
+
+def _paths(node, prefix=()):
+    """Every place in a JSON value, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _exit_code(tmp_dir, config, command, quiet):
+    cfg = tmp_dir / "problem.json"
+    cfg.write_text(json.dumps(config))
+    args = [command, str(cfg)] + (["--output", str(tmp_dir / "out.csv")] if command == "solve" else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(args + (["--quiet"] if quiet else []))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_configs_end_in_an_exit_code(tmp_path_factory, data):
+    config = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(config))[1:]))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()) and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_VALUES))))
+    command = data.draw(st.sampled_from(["check", "solve"]))
+    quiet = data.draw(st.booleans())
+    assert _exit_code(tmp_path_factory.mktemp("fuzz"), config, command, quiet) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "base, changes, command, code",
+    [
+        # The probe and the gate overflow: their inf is printed, not warned about.
+        (CONSTANT_CONFIG, {"s": [1.7976931348623157e308, 0.5]}, "check", 1),
+        (CONSTANT_CONFIG, {"space": {"tag": "Lp", "p": 1e20}}, "check", 0),
+        # Four interpolation tiles need four grid intervals.
+        (SCALAR_FINE_CONFIG, {"grid_M": 3}, "solve", 2),
+    ],
+    ids=["probe-overflow", "gate-overflow", "fif-grid-below-N"],
+)
+def test_overflows_and_short_grids_end_in_their_exit_code(tmp_path, base, changes, command, code):
+    assert _exit_code(tmp_path, dict(base, **changes), command, quiet=False) == code

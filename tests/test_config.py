@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clifract import CliffordRBParams, GridFunction, Poly, RBParams, SpaceSpec
+from clifract import CliffordRBParams, GridFunction, Poly, SpaceSpec
 from clifract.config import ConfigError, ProblemConfig, build_problem, load_config
 
 SCALAR_CONFIG = {
@@ -44,13 +44,15 @@ FIF_CONFIG = {
 
 def test_parse_scalar_config():
     cfg = ProblemConfig.from_dict(SCALAR_CONFIG)
-    assert cfg.scalar_mode
+    assert cfg.n == 0
     assert cfg.grid_m == 64
     assert cfg.space == SpaceSpec.lp(2.0)
     setup = build_problem(cfg)
-    assert isinstance(setup.params, RBParams)
-    assert setup.params.q[0] == Poly((0.0, 1.0))
-    assert setup.params.q[1] == 1.0
+    # n = 0 is Cl(0,0) = R: a lifted problem whose one blade is the scalar.
+    assert isinstance(setup.params, CliffordRBParams)
+    assert setup.params.support == (0,)
+    assert setup.params.q[0] == {0: Poly((0.0, 1.0))}
+    assert setup.params.q[1] == {0: 1.0}
     assert setup.partition.size == 2
 
 
@@ -120,6 +122,16 @@ def test_defaults_are_filled():
         pytest.param(lambda d: d.update(tol=10**400), "tol", id="int-past-float-range"),
         pytest.param(lambda d: d.update(n=9, grid_M=2**17), "grid_M", id="cells-over-bound-n9"),
         pytest.param(lambda d: d.update(grid_M=2**26), "grid_M", id="cells-over-bound-scalar"),
+        pytest.param(
+            lambda d: d.update(grid_M=2, partition={"interval": [0, 1], "N": 3}, q=[1.0] * 3, s=[0.5] * 3),
+            "grid_M",
+            id="grid-below-N",
+        ),
+        pytest.param(
+            lambda d: (_as_fif(d, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0] * 5, s=[0.1] * 4), d.update(grid_M=3)),
+            "grid_M",
+            id="fif-grid-below-N",
+        ),
         # The last four parse; building the partition or the interpolation data fails.
         pytest.param(
             lambda d: d.update(partition={"interval": [0.0, 1.0], "knots": [0.0, 1e-300, 1.0]}),

@@ -284,6 +284,18 @@ def test_non_contracting_aligned_problem_raises_naming_rho():
     assert excinfo.value.iterations == 2048
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "partition", [from_knots([0.0, 0.3, 1.0]), uniform_partition(0.0, 1.0, 2)], ids=["banach", "doubling"]
+)
+def test_a_step_that_overflows_stops_the_solve(partition):
+    # T^2 0 overflows where tile 1 pulls back the largest float, and no later step is finite.
+    params = RBParams(partition, (1.7976931348623157e308, 0.5), (0.5, -0.5))
+    with pytest.raises(ConvergenceError, match="step 2 = inf overflows") as excinfo:
+        fixed_point(params, 32, tol=1e-10, max_iter=10**6)
+    assert excinfo.value.iterations == 2
+
+
 def test_doubling_certificate_holds_against_a_dense_solve():
     # s is 1.05 on (0.4, 0.6) and 0.9 elsewhere.  The tile maps double x (mod 1/2), and
     # no pre-image in that band has its own pre-image there, so rho_2 = 1.05 * 0.9 < 1.
@@ -435,6 +447,13 @@ def test_empirical_gamma_bounded_by_sup_of_multipliers(rng):
     params = RBParams(part, (0.0, 0.0, 0.0, 0.0), s)
     sup_s = max(f.sup_norm() for f in s)
     assert empirical_gamma(params, 256, trials=64, seed=11) <= sup_s + 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_empirical_gamma_keeps_an_overflowing_ratio():
+    # s = 1e308 turns T f - T g into inf - inf = nan at some grid point of every trial.
+    params = RBParams(uniform_partition(0.0, 1.0, 2), (1.0, 1.0), (1e308, 0.5))
+    assert math.isnan(empirical_gamma(params, 4096, trials=2, seed=0))
 
 
 def test_empirical_gamma_is_deterministic():

@@ -239,6 +239,43 @@ def test_components_equal_scalar_solves_bitwise():
         assert np.array_equal(result.function.component(blade).values, scalar.function.values)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+@pytest.mark.parametrize("knots", [[0.0, 0.5, 1.0], [0.0, 0.3, 1.0]], ids=["aligned", "interp"])
+def test_n0_solve_is_the_scalar_solve_bitwise(knots, scale):
+    # Cl(0,0) = R: the lifted problem over n = 0 has one row, the scalar problem.
+    ys = [scale * y for y in DATASETS["12"]]
+    scalar_params = fif_from_data(knots, ys, S)
+    params = clifford_fif_from_data(0, knots, {"": ys}, S)
+    scalar = fixed_point(scalar_params, 512, tol=1e-12)
+    result = clifford_fixed_point(params, 512, tol=1e-12)
+    assert np.array_equal(result.function.values, scalar.function.values[None])
+    assert result.iterations == {0: scalar.iterations}
+    assert result.error_bound == scalar.error_bound
+    psi = scalar.function
+    worst = float(np.max(np.abs(rb_apply(scalar_params, psi).values - psi.values)))
+    assert residual(params, result.function) == worst
+    if scale != 1.0:  # the square of the defect is subnormal
+        assert math.sqrt(worst**2) != worst
+
+
+@pytest.mark.parametrize("scale, tol", [(1e-160, 1e-12), (1e160, 1e300)], ids=["tiny", "huge"])
+def test_euclidean_aggregates_neither_underflow_nor_overflow(scale, tol):
+    # Squared, every defect and row bound here is subnormal (tiny) or infinite (huge).
+    datasets = {"": [0.0, scale, 0.0], "12": [0.0, 0.3 * scale, 0.0]}
+    knots, s = [0.0, 0.3, 1.0], [0.3, 0.3]
+    params = clifford_fif_from_data(2, knots, datasets, s)
+    result = clifford_fixed_point(params, 1000, tol=tol)
+    psi = result.function
+    defect = (clifford_rb_apply(params, psi) - psi).values
+    worst = max(math.hypot(*column) for column in defect.T.tolist())
+    assert residual(params, psi) == pytest.approx(worst, rel=1e-15, abs=0.0)
+    bounds = [
+        fixed_point(fif_from_data(knots, data, s), 1000, tol=tol).error_bound
+        for data in datasets.values()
+    ]
+    assert result.error_bound == pytest.approx(math.hypot(*bounds), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.9])
 def test_lifted_interpolating_certificate_holds_against_dense_solves(gamma):
     datasets = {"": [0.0, 1.0, -0.5], "12": [2.0, -1.0, 0.5]}
@@ -341,6 +378,9 @@ def test_clifford_norm_aggregates_components():
     assert clifford_norm_F(single, SpaceSpec.ck(0)) == 1.0
     double = CliffordGridFunction(2, part, 16, {"": ones, "1": ones})
     assert clifford_norm_F(double, SpaceSpec.ck(0)) == pytest.approx(math.sqrt(2.0))
+    # Squared, these norms are subnormal.
+    tiny = CliffordGridFunction(2, part, 16, {"": ones * 1e-160, "12": ones * 3e-161})
+    assert clifford_norm_F(tiny, SpaceSpec.ck(0)) == pytest.approx(math.hypot(1e-160, 3e-161), rel=1e-15, abs=0.0)
     with pytest.raises(NotImplementedError):
         clifford_norm_F(single, SpaceSpec.sobolev(0.5, 2.0))
 
@@ -501,7 +541,7 @@ def mask_pairs(n, rng):
     return [tuple(int(m) for m in rng.integers(0, size, 2)) for _ in range(500)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 12])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 9, 12])
 def test_representation_matches_the_sign_oracle(n, rng):
     gamma = functools.cache(lambda mask: gamma_matrix(n, mask))
     pairs = mask_pairs(n, rng)
@@ -522,7 +562,7 @@ def test_representation_matches_the_sign_oracle(n, rng):
         assert any(np.array_equal(gamma(omega), phase * np.eye(d)) for phase in (1j, -1j))
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 12])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9, 12])
 def test_forward_table_lists_the_entries_of_the_back_table(n):
     forward, back = lift._rep_tables(n)
     size, d = 1 << n, back.shape[0]
