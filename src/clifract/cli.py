@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -444,9 +445,12 @@ def _cmd_eval(args) -> int:
     for name, ok in zip(["x", *names], finite):
         if not ok:
             raise ConfigError("<solution>", f"column {name!r} holds a non-finite value")
-    if not np.all(np.diff(xs) > 0):
+    if not np.all(xs[1:] > xs[:-1]):
         raise ConfigError("<solution>", "x must be strictly increasing")
     lo, hi = float(xs[0]), float(xs[-1])
+    # Past this, the widths and offsets of the interpolation overflow.
+    if not math.isfinite(hi - lo):
+        raise ConfigError("<solution>", f"column 'x' spans [{lo:g}, {hi:g}], past the float range")
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["x"] + names + ["source"])

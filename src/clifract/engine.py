@@ -11,8 +11,8 @@ once and np.interp's own formula, so every bit is np.interp's.
 The grid also chooses the solver, and both stop on a sup-norm certificate
 rho_k < 1 for the linear part A of T^k.  On an aligned grid T^N v = A + B *
 v[P] has the shape of T, so pointer doubling reaches T^(2^k) in k steps, and
-a row stops at the first N with rho_N * ||T^N v0 - v0||_inf / (1 - rho_N)
-<= tol, rho_N = max|B| being exact.  On an interpolating grid Banach
+a row stops at the first N with rho_N * ||T^N 0||_inf / (1 - rho_N) <= tol,
+rho_N = max|B| being exact.  On an interpolating grid Banach
 iteration stops once step * (rho_1 + ... + rho_k) / (1 - rho_k) <= tol,
 with rho_1 = max|s_vals| and, only when that is >= 1, the least k <= _K_MAX
 with rho_k = max(|A|^k 1) < 1; none raises.  Either bound is the error
@@ -349,11 +349,11 @@ def _check_settings(tol: float, gamma: float | None, max_iter: int) -> None:
 
 
 def _iterate_row(
-    plan: _Plan, row: int, values: np.ndarray, lead: float, rho: float, tol: float, max_iter: int
+    plan: _Plan, row: int, lead: float, rho: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
-    """Banach iteration of one plan row until lead * step / (1 - rho) <= tol:
+    """Banach iteration of one plan row from zero until lead * step / (1 - rho) <= tol:
     (values, iterations, error bound)."""
-    diff = math.inf
+    values, diff = np.zeros(plan.q_vals.shape[1]), math.inf
     # One step buffer for the whole loop: with apply finishing in place, a fresh
     # step array per iteration made this loop 5-15% slower at M = 2^16.
     step = np.empty(values.shape)
@@ -403,43 +403,37 @@ def _power_rho(plan: _Plan, rho_1: float) -> tuple[float, float]:
     )
 
 
-def _solve(
-    plan: _Plan, tol: float, max_iter: int, initial: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed points of every q row of `plan`, each certified within tol.
+def _solve(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed points of every q row of `plan`, each iterated from zero and
+    certified within tol.
 
     Returns (values (K, M+1), iterations per row, error bound per row).  A
     gather plan is doubled; an interpolating one runs Banach iteration per
     row under rho_1 = max|s_vals|, or under _power_rho when that is >= 1.
-    v0 is zero or the row `initial`.  Consumes the plan.
+    Consumes the plan.
     """
     if plan.pre_idx is not None:
-        return _double_rows(plan, tol, max_iter, initial)
+        return _double_rows(plan, tol, max_iter)
     values = np.empty(plan.q_vals.shape)
     lead = rho = float(np.max(np.abs(plan.s_vals)))
     if len(values) and not rho < 1.0:
         lead, rho = _power_rho(plan, rho)
-    start = np.zeros(values.shape[1]) if initial is None else initial
     iterations = np.zeros(len(values), dtype=np.int64)
     bounds = np.zeros(len(values))
     for row in range(len(values)):
-        values[row], iterations[row], bounds[row] = _iterate_row(
-            plan, row, start, lead, rho, tol, max_iter
-        )
+        values[row], iterations[row], bounds[row] = _iterate_row(plan, row, lead, rho, tol, max_iter)
     return values, iterations, bounds
 
 
-def _double_rows(
-    plan: _Plan, tol: float, max_iter: int, initial: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed points of every row of a gather plan by pointer doubling.
+def _double_rows(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed points of every row of a gather plan by pointer doubling from zero.
 
     T^N v = A + B * v[P], with A = T^N 0 (one row per q row) and B, P shared
     by all rows; T^2N is then A + B * A[:, P], B * B[P] and P[P].  rho_N =
     max|B| is the sup norm of the linear part of T^N, so while rho_N < 1 the
-    iterate T^N v0 lies within rho_N * max|T^N v0 - v0| / (1 - rho_N) of the
-    fixed point.  A row stops at the first N = 2^k where that bound is
-    <= tol, and is not written again.  v0 is zero or the row `initial`.
+    iterate A = T^N 0 lies within rho_N * max|A| / (1 - rho_N) of the fixed
+    point.  A row stops at the first N = 2^k where that bound is <= tol, and
+    is not written again.
 
     Consumes the plan: A, B and P are its q_vals, s_vals and pre_idx,
     updated in place, and A ends up holding the result.  Returns (values,
@@ -454,18 +448,14 @@ def _double_rows(
     iterations = np.zeros(len(stack), dtype=np.int64)
     bounds = np.zeros(len(stack))
 
-    def certify(rows: slice, n: int, rho: float, shift: np.ndarray | None) -> float:
+    def certify(rows: slice, n: int, rho: float) -> float:
         """Stop the active rows of a block whose bound for T^n is within tol.
 
-        Returns the block's largest step max|T^n v0 - v0| over its active rows.
+        Returns the block's largest step max|T^n 0| over its active rows.
         """
         block = stack[rows]
         work, active = scratch[: len(block)], iterations[rows] == 0
-        if shift is None:
-            np.abs(block, out=work)
-        else:
-            np.subtract(np.add(block, shift, out=work), initial, out=work)
-            np.abs(work, out=work)
+        np.abs(block, out=work)
         step = work.max(axis=1)
         overflowed = np.flatnonzero(active & ~np.isfinite(step))
         if overflowed.size:
@@ -478,19 +468,13 @@ def _double_rows(
         if rho < 1.0:
             bound = rho * step / (1.0 - rho)
             done = active & (bound <= tol)
-            if shift is not None:
-                block[done] += shift
             iterations[rows][done] = n
             bounds[rows][done] = bound[done]
         return float(np.max(step[active], initial=0.0))
 
-    def shift_for(mult: np.ndarray, index: np.ndarray) -> np.ndarray | None:
-        return None if initial is None else mult * initial[index]
-
     n, rho = 1, float(np.max(np.abs(mult)))
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = shift_for(mult, index)
-        last_step = max((certify(rows, n, rho, shift) for rows in blocks), default=0.0)
+        last_step = max((certify(rows, n, rho) for rows in blocks), default=0.0)
         while not np.all(iterations):
             if 2 * n > max_iter:
                 raise ConvergenceError(
@@ -512,7 +496,6 @@ def _double_rows(
                     row=int(np.argmin(iterations)),
                 )
             np.take(index, index, out=next_index, mode="wrap")
-            shift = shift_for(next_mult, next_index)
             last_step = 0.0
             for rows in blocks:
                 active = iterations[rows] == 0
@@ -527,7 +510,7 @@ def _double_rows(
                     block += work
                 else:
                     np.add(block, work, out=block, where=active[:, None])
-                last_step = max(last_step, certify(rows, 2 * n, next_rho, shift))
+                last_step = max(last_step, certify(rows, 2 * n, next_rho))
             mult, next_mult = next_mult, mult
             index, next_index = next_index, index
             n, rho = 2 * n, next_rho
@@ -546,20 +529,25 @@ def fixed_point(
     """The fixed point of T from f_0 = 0 (or `initial`), within tol in the sup norm.
 
     The error bound is the certificate the solve stopped on (see the module
-    docstring).  Pointer doubling on an aligned grid computes f_N = T^N f_0
-    for N = 1, 2, 4, ... and steps by f_N - f_0; Banach iteration on an
-    interpolating grid steps by f_{k+1} - f_k and raises ConvergenceError when
-    no rho_k with k <= _K_MAX is below 1.  `iterations` counts Banach steps
-    and never exceeds max_iter.  gamma is checked to lie in [0, 1) when given
-    and is not read.
+    docstring).  Pointer doubling on an aligned grid computes f_N = T^N 0 for
+    N = 1, 2, 4, ... and steps by f_N; Banach iteration on an interpolating
+    grid steps by f_{k+1} - f_k and raises ConvergenceError when no rho_k with
+    k <= _K_MAX is below 1.  A warm start from v is the change of variables
+    f = v + g: g is the fixed point, from zero, of the same operator with q
+    replaced by T v - v, so s, the pullback and the certificate are unchanged.
+    `iterations` counts Banach steps and never exceeds max_iter.  gamma is
+    checked to lie in [0, 1) when given and is not read.
     """
     _check_settings(tol, gamma, max_iter)
     if initial is not None and (initial.partition != params.partition or initial.grid_m != grid_m):
         raise ValueError("initial iterate must live on the carrier grid")
     plan = _build_plan(params, grid_m, (params.q,))
-    values, iterations, bounds = _solve(
-        plan, tol, max_iter, None if initial is None else initial.values
-    )
+    if initial is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan.q_vals[0] = plan.apply(initial.values) - initial.values
+    values, iterations, bounds = _solve(plan, tol, max_iter)
+    if initial is not None:
+        values[0] += initial.values
     return FixedPointResult(
         GridFunction(params.partition, values[0]), int(iterations[0]), float(bounds[0])
     )

@@ -292,6 +292,27 @@ def test_eval_non_finite_value_exits_2_naming_the_column(tmp_path, capsys, conte
     assert err.startswith("config error: <solution>: column " + column)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("x,value\r\n-1.7e308,0\r\n1.7e308,10\r\n", "column 'x' spans [-1.7e+308, 1.7e+308]"),
+        (json.dumps([{"x": -1.7e308, "value": 0.0}, {"x": 1.7e308, "value": 10.0}]), "column 'x' spans"),
+        ("x,value\r\n0,0\r\n1.7e308,1\r\n-1.7e308,2\r\n1,3\r\n", "x must be strictly increasing"),
+    ],
+    ids=["csv-span", "json-span", "decreasing-step-past-the-range"],
+)
+def test_eval_on_an_x_span_past_the_float_range_exits_2_naming_x(tmp_path, capsys, content, message):
+    solution = tmp_path / "solution.txt"
+    solution.write_text(content, newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", str(solution), "--at", "0,1e308"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: <solution>: " + message)
+
+
 @pytest.mark.parametrize("target", ["directory", "under-a-file"])
 def test_solve_unwritable_output_exits_2(tmp_path, capsys, target):
     cfg = write_config(tmp_path, FIF_CONFIG)
@@ -689,6 +710,56 @@ def test_mutated_configs_end_in_an_exit_code(tmp_path_factory, data):
     command = data.draw(st.sampled_from(["check", "solve"]))
     quiet = data.draw(st.booleans())
     assert _exit_code(tmp_path_factory.mktemp("fuzz"), config, command, quiet) in (0, 1, 2, 3)
+
+
+# Solution cells: non-finite and non-numeric tokens, an integer past the float range,
+# floats at its ends, the smallest subnormal and a negative zero.
+SOLUTION_CELLS = [
+    "nan", "NaN", "inf", "-Infinity", "true", "false", "null", "", '"1"', "1" + "0" * 400,
+    "1e400", "-1.7e308", "1.7e308", "5e-324", "-0.0",
+]
+NON_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\x00"]
+
+
+def _solution_text(fmt, names, rows):
+    """A solution file with the cell texts written as they are."""
+    if fmt == "csv":
+        return "".join(",".join(row) + "\r\n" for row in [["x", *names], *rows])
+    if names == ["value"]:
+        items = ['{"x": %s, "value": %s}' % tuple(row) for row in rows]
+    else:
+        coeffs = ", ".join(f'"{name}": %s' for name in names)
+        items = [('{"x": %s, "coeffs": {' + coeffs + "}}") % tuple(row) for row in rows]
+    return "[\n" + ",\n".join(items) + "\n]\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_solution_files_end_in_an_exit_code(tmp_path_factory, data):
+    fmt = data.draw(st.sampled_from(["csv", "json"]))
+    names = data.draw(st.sampled_from([["value"], ["", "1", "2", "12"]]))
+    xs = np.linspace(0.0, 1.0, data.draw(st.integers(1, 5))).tolist()
+    rows = [[repr(x)] + [repr(x - k / 8) for k in range(len(names))] for x in xs]
+    if data.draw(st.booleans()):  # an x span past the float range
+        rows[0][0], rows[-1][0] = "-1.7e308", "1.7e308"
+    for _ in range(data.draw(st.integers(0, 2))):
+        row, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(names)))
+        rows[row][col] = data.draw(st.sampled_from(SOLUTION_CELLS))
+    content = _solution_text(fmt, names, rows).encode()
+    edit = data.draw(st.sampled_from(["none", "truncate", "insert"]))
+    if edit != "none":
+        cut = data.draw(st.integers(0, len(content)))
+        rest = data.draw(st.sampled_from(NON_UTF8)) + content[cut:] if edit == "insert" else b""
+        content = content[:cut] + rest
+    path = tmp_path_factory.mktemp("fuzz") / f"solution.{fmt}"
+    path.write_bytes(content)
+    at = data.draw(st.sampled_from(["0.5", "0,1e308", "0.1,0.9", "-1e308", "1"]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", str(path), f"--at={at}"])
+    assert code in (0, 1, 2, 3)
+    assert caught == []
 
 
 @pytest.mark.parametrize(

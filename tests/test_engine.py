@@ -258,6 +258,40 @@ def test_fixed_point_uniqueness_across_initial_iterates(rng):
     assert np.max(np.abs(cold.function.values - warm.function.values)) <= 2 * tol
 
 
+def _band_multiplier_problem(grid_m):
+    # s is 1.05 on (0.4, 0.6) and 0.9 elsewhere.  The tile maps double x (mod 1/2), and
+    # no pre-image in that band has its own pre-image there, so rho_2 = 1.05 * 0.9 < 1.
+    part = uniform_partition(0.0, 1.0, 2)
+    s = GridFunction.sample(part, grid_m, lambda x: np.where((x > 0.4) & (x < 0.6), 1.05, 0.9))
+    return RBParams(part, (Poly((0.0, 1.0)), Poly((1.0, -2.0, 1.0))), (s, s))
+
+
+@pytest.mark.parametrize(
+    "params, grid_m",
+    [
+        (fif_from_data([0.0, 0.5, 1.0], [0.0, 1.0, -0.5], [0.6, -0.45]), 64),
+        (_band_multiplier_problem(32), 32),
+        (fif_from_data([0.0, 0.3, 1.0], [0.0, 1.0, -0.5], [0.9, -0.9]), 128),
+    ],
+    ids=["aligned", "aligned-rho2", "interp"],
+)
+def test_warm_starts_keep_their_certificate_against_a_dense_solve(params, grid_m, rng):
+    tol = 1e-10
+    matrix, rhs = dense_operator(params, grid_m)
+    resolvent = np.linalg.inv(np.eye(grid_m + 1) - matrix)
+    exact = resolvent @ rhs
+    start = rng.standard_normal(grid_m + 1)
+    warm = fixed_point(params, grid_m, tol=tol, initial=GridFunction(params.partition, start))
+    # The bound treats the iterates as exact.  Where a tile map fixes a grid point with
+    # |s| = rho (x = 0 of "interp"), the error there shrinks by exactly rho a step, the
+    # bound equals it, and rounding puts this start's error 4e-16 above it.  So allow the
+    # rounding of T v - v and of f = v + g, amplified by the resolvent's sup norm.
+    amplification = np.max(np.sum(np.abs(resolvent), axis=1))
+    rounding = 8 * np.finfo(float).eps * (np.max(np.abs(start)) + np.max(np.abs(exact))) * amplification
+    assert np.max(np.abs(warm.function.values - exact)) <= warm.error_bound + rounding
+    assert warm.error_bound <= tol
+
+
 def test_fixed_point_validates_arguments():
     params = constant_params(uniform_partition(0.0, 1.0, 2), 1.0, 0.5)
     with pytest.raises(ValueError):
@@ -273,6 +307,21 @@ def test_fixed_point_reports_non_convergence():
     # Aligned grids double, so the count is the largest power of two <= max_iter.
     assert excinfo.value.iterations == 2
     assert excinfo.value.residual > 0
+
+
+def test_banach_iteration_reports_non_convergence():
+    params = fif_from_data([0.0, 0.3, 1.0], [0.0, 1.0, 0.0], [0.9, 0.9])
+    with pytest.raises(ConvergenceError, match="no convergence after 3 iterations") as excinfo:
+        fixed_point(params, 64, tol=1e-14, max_iter=3)
+    assert excinfo.value.iterations == 3
+    assert excinfo.value.residual > 0
+
+
+def test_sampled_q_on_another_grid_is_rejected():
+    part = uniform_partition(0.0, 1.0, 2)
+    q = GridFunction.sample(part, 16, np.sin)
+    with pytest.raises(ValueError, match="sampled q entries must live on the carrier grid"):
+        fixed_point(RBParams(part, (q, 0.0), (0.5, 0.5)), 32, tol=1e-10)
 
 
 @pytest.mark.filterwarnings("error")
@@ -297,13 +346,9 @@ def test_a_step_that_overflows_stops_the_solve(partition):
 
 
 def test_doubling_certificate_holds_against_a_dense_solve():
-    # s is 1.05 on (0.4, 0.6) and 0.9 elsewhere.  The tile maps double x (mod 1/2), and
-    # no pre-image in that band has its own pre-image there, so rho_2 = 1.05 * 0.9 < 1.
-    # rho_N then decays slowly, which keeps the bound far above rounding.
-    part = uniform_partition(0.0, 1.0, 2)
+    # rho_N decays slowly from rho_2 < 1, which keeps the bound far above rounding.
     grid_m, tol = 32, 1e-10
-    s = GridFunction.sample(part, grid_m, lambda x: np.where((x > 0.4) & (x < 0.6), 1.05, 0.9))
-    params = RBParams(part, (Poly((0.0, 1.0)), Poly((1.0, -2.0, 1.0))), (s, s))
+    params = _band_multiplier_problem(grid_m)
     matrix, rhs = dense_operator(params, grid_m)
     assert np.max(np.sum(np.abs(matrix), axis=1)) == 1.05
     assert np.max(np.sum(np.abs(matrix @ matrix), axis=1)) < 0.95

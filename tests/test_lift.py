@@ -239,6 +239,25 @@ def test_components_equal_scalar_solves_bitwise():
         assert np.array_equal(result.function.component(blade).values, scalar.function.values)
 
 
+def test_a_doubling_block_whose_rows_all_stopped_is_skipped(rng):
+    # 64 blades fill two blocks of 32 rows.  Block 0 (masks below 32) holds q of
+    # about 1e-12 and stops at N = 1; block 1 holds q of about 1 and doubles on to N = 64.
+    part = uniform_partition(0.0, 1.0, 2)
+    scales = np.where(np.arange(64) < 32, 1e-12, 1.0)
+    q = tuple(
+        {mask: Poly(tuple(scale * rng.uniform(-1.0, 1.0, 2))) for mask, scale in enumerate(scales)}
+        for _ in range(2)
+    )
+    params = CliffordRBParams(6, part, q, (0.5, -0.5))
+    result = clifford_fixed_point(params, 64, tol=1e-10)
+    assert {result.iterations[mask] for mask in range(32)} == {1}
+    assert {result.iterations[mask] for mask in range(32, 64)} == {64}
+    for mask in range(64):
+        scalar = fixed_point(params.component_params(mask), 64, tol=1e-10)
+        assert np.array_equal(result.function.component(mask).values, scalar.function.values)
+        assert result.iterations[mask] == scalar.iterations
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-160])
 @pytest.mark.parametrize("knots", [[0.0, 0.5, 1.0], [0.0, 0.3, 1.0]], ids=["aligned", "interp"])
 def test_n0_solve_is_the_scalar_solve_bitwise(knots, scale):
@@ -624,7 +643,9 @@ def test_small_products_stay_on_the_pair_loop_and_large_ones_use_matrices(produc
         full = np.arange(1 << n)
         f, g = random_function(n, 16, full, rng), random_function(n, 16, full, rng)
         product = pointwise_product(f, g)
-        # The pair loop adds the terms of a blade in mv_mul's order, so the bits agree.
+        # The pair loop adds the terms of a blade in mv_mul's order, so the values agree.
+        # np.array_equal takes -0.0 == 0.0: the sign of a zero may differ, since the pair
+        # loop starts each sum at -0.0 and mv_mul at +0.0.
         for j in range(17):
             assert np.array_equal(product.value_at(j).coeffs, mv_mul(f.value_at(j), g.value_at(j)).coeffs)
     assert product_paths == ["_pair_product"] * 2
