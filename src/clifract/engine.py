@@ -535,19 +535,26 @@ def fixed_point(
     k <= _K_MAX is below 1.  A warm start from v is the change of variables
     f = v + g: g is the fixed point, from zero, of the same operator with q
     replaced by T v - v, so s, the pullback and the certificate are unchanged.
-    `iterations` counts Banach steps and never exceeds max_iter.  gamma is
-    checked to lie in [0, 1) when given and is not read.
+    T v - v rounds by about eps * max|v|, which the solve carries into f, so v
+    is used only when max|T v - v| < max|T 0|; that keeps max|v - f| within
+    the resolvent's norm times max|T 0|.  Any other start is dropped, and the
+    result is the cold solve's, bit for bit.  `iterations` counts Banach
+    steps and never exceeds max_iter.  gamma is checked to lie in [0, 1) when
+    given and is not read.
     """
     _check_settings(tol, gamma, max_iter)
     if initial is not None and (initial.partition != params.partition or initial.grid_m != grid_m):
         raise ValueError("initial iterate must live on the carrier grid")
     plan = _build_plan(params, grid_m, (params.q,))
+    start = None
     if initial is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            plan.q_vals[0] = plan.apply(initial.values) - initial.values
+            shifted = plan.apply(initial.values) - initial.values
+        if np.max(np.abs(shifted)) < np.max(np.abs(plan.q_vals[0])):
+            plan.q_vals[0], start = shifted, initial.values
     values, iterations, bounds = _solve(plan, tol, max_iter)
-    if initial is not None:
-        values[0] += initial.values
+    if start is not None:
+        values[0] += start
     return FixedPointResult(
         GridFunction(params.partition, values[0]), int(iterations[0]), float(bounds[0])
     )

@@ -260,19 +260,28 @@ def test_eval_reads_json_solutions(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, content, at",
+    "name, content, at, message",
     [
-        ("cell.csv", "x,value\r\n0,1\r\n0.5,oops\r\n1,2\r\n", "0.25"),
-        ("row.json", json.dumps([{"x": 0.0}, {"x": 1.0}]), "0.5"),
-        ("nan.csv", "x,value\r\n0,1\r\n1,2\r\n", "nan"),
+        ("cell.csv", "x,value\r\n0,1\r\n0.5,oops\r\n1,2\r\n", "0.25", "<solution>: malformed solution file"),
+        ("row.json", json.dumps([{"x": 0.0}, {"x": 1.0}]), "0.5", "<solution>: malformed solution file"),
+        ("nan.csv", "x,value\r\n0,1\r\n1,2\r\n", "nan", "x = nan outside the domain"),
+        ("span.csv", "x,value\r\n-1.7e308,0\r\n1.7e308,10\r\n", "0,1e308",
+         "<solution>: column 'x' spans [-1.7e+308, 1.7e+308], past the float range"),
+        ("span.json", json.dumps([{"x": -1.7e308, "value": 0.0}, {"x": 1.7e308, "value": 10.0}]), "0,1e308",
+         "<solution>: column 'x' spans"),
+        ("step.csv", "x,value\r\n0,0\r\n1.7e308,1\r\n-1.7e308,2\r\n1,3\r\n", "0,1e308",
+         "<solution>: x must be strictly increasing"),
     ],
-    ids=["non-numeric-csv-cell", "json-row-without-values", "at-nan"],
+    ids=[
+        "non-numeric-csv-cell", "json-row-without-values", "at-nan",
+        "csv-span", "json-span", "decreasing-step-past-the-range",
+    ],
 )
-def test_eval_bad_input_exits_2_with_config_error(tmp_path, capsys, name, content, at):
+def test_eval_bad_input_exits_2_with_config_error(tmp_path, capsys, name, content, at, message):
     solution = tmp_path / name
     solution.write_text(content)
     assert main(["eval", str(solution), "--at", at]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith("config error: " + message)
 
 
 @pytest.mark.parametrize(
@@ -290,27 +299,6 @@ def test_eval_non_finite_value_exits_2_naming_the_column(tmp_path, capsys, conte
     assert main(["eval", str(solution), "--at", "0.5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: <solution>: column " + column)
-
-
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        ("x,value\r\n-1.7e308,0\r\n1.7e308,10\r\n", "column 'x' spans [-1.7e+308, 1.7e+308]"),
-        (json.dumps([{"x": -1.7e308, "value": 0.0}, {"x": 1.7e308, "value": 10.0}]), "column 'x' spans"),
-        ("x,value\r\n0,0\r\n1.7e308,1\r\n-1.7e308,2\r\n1,3\r\n", "x must be strictly increasing"),
-    ],
-    ids=["csv-span", "json-span", "decreasing-step-past-the-range"],
-)
-def test_eval_on_an_x_span_past_the_float_range_exits_2_naming_x(tmp_path, capsys, content, message):
-    solution = tmp_path / "solution.txt"
-    solution.write_text(content, newline="")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["eval", str(solution), "--at", "0,1e308"]) == 2
-    assert caught == []
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: <solution>: " + message)
 
 
 @pytest.mark.parametrize("target", ["directory", "under-a-file"])
@@ -754,12 +742,10 @@ def test_mutated_solution_files_end_in_an_exit_code(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / f"solution.{fmt}"
     path.write_bytes(content)
     at = data.draw(st.sampled_from(["0.5", "0,1e308", "0.1,0.9", "-1e308", "1"]))
+    # pyproject turns a RuntimeWarning into an error, which would escape main() here.
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["eval", str(path), f"--at={at}"])
+        code = main(["eval", str(path), f"--at={at}"])
     assert code in (0, 1, 2, 3)
-    assert caught == []
 
 
 @pytest.mark.parametrize(

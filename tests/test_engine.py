@@ -266,30 +266,36 @@ def _band_multiplier_problem(grid_m):
     return RBParams(part, (Poly((0.0, 1.0)), Poly((1.0, -2.0, 1.0))), (s, s))
 
 
+@pytest.mark.parametrize("start", ["near", "far"])
 @pytest.mark.parametrize(
-    "params, grid_m",
+    "params, grid_m, tol",
     [
-        (fif_from_data([0.0, 0.5, 1.0], [0.0, 1.0, -0.5], [0.6, -0.45]), 64),
-        (_band_multiplier_problem(32), 32),
-        (fif_from_data([0.0, 0.3, 1.0], [0.0, 1.0, -0.5], [0.9, -0.9]), 128),
+        (fif_from_data([0.0, 0.5, 1.0], [0.0, 1.0, -0.5], [0.6, -0.45]), 64, 1e-10),
+        (_band_multiplier_problem(32), 32, 1e-10),
+        (fif_from_data([0.0, 0.3, 1.0], [0.0, 1.0, -0.5], [0.9, -0.9]), 128, 1e-10),
+        (constant_params(uniform_partition(0.0, 1.0, 2), 3.7, 0.6), 256, 1e-12),
     ],
-    ids=["aligned", "aligned-rho2", "interp"],
+    ids=["aligned", "aligned-rho2", "interp", "constant"],
 )
-def test_warm_starts_keep_their_certificate_against_a_dense_solve(params, grid_m, rng):
-    tol = 1e-10
+def test_warm_starts_keep_their_certificate_against_a_dense_solve(params, grid_m, tol, start, rng):
     matrix, rhs = dense_operator(params, grid_m)
     resolvent = np.linalg.inv(np.eye(grid_m + 1) - matrix)
     exact = resolvent @ rhs
-    start = rng.standard_normal(grid_m + 1)
-    warm = fixed_point(params, grid_m, tol=tol, initial=GridFunction(params.partition, start))
-    # The bound treats the iterates as exact.  Where a tile map fixes a grid point with
-    # |s| = rho (x = 0 of "interp"), the error there shrinks by exactly rho a step, the
-    # bound equals it, and rounding puts this start's error 4e-16 above it.  So allow the
-    # rounding of T v - v and of f = v + g, amplified by the resolvent's sup norm.
+    noise = rng.standard_normal(grid_m + 1)
+    initial = exact + 1e-3 * noise if start == "near" else 1e4 * noise
+    warm = fixed_point(params, grid_m, tol=tol, initial=GridFunction(params.partition, initial))
+    # The bound treats the iterates as exact.  It equals the error of a constant problem,
+    # and of "interp" at x = 0, which its tile map fixes with |s| = rho, so rounding the
+    # iterates can put the error above it by about eps * max|f| times the resolvent's sup
+    # norm, cold solves included.  Allow that much, and nothing that grows with the start.
     amplification = np.max(np.sum(np.abs(resolvent), axis=1))
-    rounding = 8 * np.finfo(float).eps * (np.max(np.abs(start)) + np.max(np.abs(exact))) * amplification
+    rounding = 2 * np.finfo(float).eps * np.max(np.abs(exact)) * amplification
     assert np.max(np.abs(warm.function.values - exact)) <= warm.error_bound + rounding
     assert warm.error_bound <= tol
+    if start == "far":  # its first step is longer than zero's, so it is dropped
+        cold = fixed_point(params, grid_m, tol=tol)
+        assert warm.function == cold.function
+        assert (warm.iterations, warm.error_bound) == (cold.iterations, cold.error_bound)
 
 
 def test_fixed_point_validates_arguments():
