@@ -12,9 +12,12 @@ RFC 4180 with floats at 17 significant digits; identical configs and
 seeds produce byte-identical files.  Every CSV cell is the bytes of
 `'%.17g' % v`, as in earlier versions, made in numpy blocks from one
 np.longdouble product per cell; the few cells that product cannot settle
-go through Python's `%.17g` (see `_csv_block`).  CLIFRACT_OUTPUT_DIR, when
-set, anchors relative output paths.  With --quiet, solve and check skip the
-random contraction probe and the residual, which only their reports print.
+go through Python's `%.17g` (see `_csv_block`).  eval reads such a body
+back exactly, each value `float(cell)`, with a numpy parser on one thread
+per CPU, and any other CSV with np.loadtxt (see `_read_csv_body`).
+CLIFRACT_OUTPUT_DIR, when set, anchors relative output paths.  With
+--quiet, solve and check skip the random contraction probe and the
+residual, which only their reports print.
 """
 
 from __future__ import annotations
@@ -57,6 +60,25 @@ _EXACT_LIMIT = np.array([(2**64 - 1) // 5**k for k in range(28)], dtype=np.uint6
 _POINT = np.array([0, 17, 17, 17, 17, *range(17), 0], dtype=np.uint8)
 _PREFIX = np.zeros((5, 23), dtype=np.uint8)
 _PREFIX[:, 1:5] = np.frombuffer(b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", np.uint8).reshape(4, 5).T
+# The CSV reader takes the body in reads of this many bytes, cut back to the last row end.
+# A worker's arrays for one chunk take about 12x its bytes, so this bounds the reader's memory.
+_CHUNK_BYTES = 1 << 18
+# Bytes before each chunk: '0's, then an LF that starts its first row, so that
+# the three 8-byte loads ending at a mantissa's last digit stay in the buffer.
+_PAD = 24
+# Token classes of the bytes that are not digits: any other byte is _BAD.
+_SEP, _CR, _LF, _NEG, _DOT, _EXP, _SIGN, _BAD = range(8)
+_TOKEN = np.full(256, _BAD, np.uint8)
+_TOKEN[[44, 13, 10, 45, 46, 101, 43]] = _SEP, _CR, _LF, _NEG, _DOT, _EXP, _SIGN
+# Masks of the three 8-digit groups of a mantissa with min(d, 24) digits, in address order
+# (group 2 first), as one 24-byte row: group g keeps its bytes t >= 8g + 8 - d.
+_KEEP = np.array(
+    [[0x0F0F0F0F0F0F0F0F << 8 * min(max(8 * g + 8 - d, 0), 8) & 2**64 - 1 for g in (2, 1, 0)] for d in range(25)],
+    dtype="<u8",
+).view("V24").ravel()
+# r * _INNER and r * _OUTER bracket every value within 2^-63 relative of r (see _parse_chunk).
+_INNER = 1 - np.ldexp(np.longdouble(1), -62)
+_OUTER = 1 + np.ldexp(np.longdouble(1), -62)
 
 
 def _fmt(value: float) -> str:
@@ -395,9 +417,10 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Returns (column names, x grid, value matrix of shape (len(xs), cols))."""
     try:
         with open(path, newline="") as fh:
-            first = fh.readline()
+            first = head = fh.readline()
             while first.isspace():
                 first = fh.readline()
+                head += first
             if first.lstrip().startswith("["):
                 rows = json.loads(first + fh.read())
                 xs = _json_numbers("x", [row["x"] for row in rows])
@@ -409,10 +432,14 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             header = next(csv.reader([first]), None)
             if not header or header[0] != "x":
                 raise ConfigError("<solution>", "expected a CSV header starting with 'x'")
-            with warnings.catch_warnings():
-                # A header-only file warns "input contained no data"; its shape says so.
-                warnings.simplefilter("ignore")
-                matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            matrix = None
+            if _EXTENDED and head.isascii():
+                matrix = _read_csv_body(path, len(head), len(header))
+            if matrix is None:
+                with warnings.catch_warnings():
+                    # A header-only file warns "input contained no data"; its shape says so.
+                    warnings.simplefilter("ignore")
+                    matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ConfigError:
         raise
     except OSError as exc:
@@ -422,6 +449,192 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     if matrix.shape[0] == 0 or matrix.shape[1] != len(header):
         raise ConfigError("<solution>", "malformed CSV body")
     return header[1:], matrix[:, 0], matrix[:, 1:]
+
+
+def _cell_grammar() -> np.ndarray:
+    """Whether token b may follow token a after r digits, at (min(r + 1, 5) * 8 + a) * 8 + b.
+
+    This is the language of the bodies `solve` writes: cells
+    `-?D+(.D+)?(e[+-]DD D?)?` with `,` between them and CRLF after each row.
+    A `-` right after `e` is an exponent _SIGN.
+    """
+    ok = np.zeros((6, 8, 8), bool)
+    cell_end = [_SEP, _CR]
+    ok[1, [_SEP, _LF], _NEG] = True
+    for token in (_SEP, _LF, _NEG):  # the integer digits
+        ok[2:, token, [_DOT, _EXP, *cell_end]] = True
+    ok[2:, _DOT, [_EXP, *cell_end]] = True  # the fraction digits
+    ok[1, _EXP, _SIGN] = True
+    ok[3:5, _SIGN, cell_end] = True  # two or three exponent digits
+    ok[1, _CR, _LF] = True
+    return ok.ravel()
+
+
+_GRAMMAR = _cell_grammar()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
+    """The CSV body from byte `offset` on as a (rows, ncol) float64 matrix, each cell `float(cell)`.
+
+    A first pass counts the rows and cuts the body into chunks of about
+    `_CHUNK_BYTES` that end at a row end; the second parses the chunks into
+    one preallocated matrix, on a thread pool when the process may use more
+    than one CPU, with at most two chunks per worker read and not yet parsed.
+    Returns None, for np.loadtxt to read the file, when the body is empty,
+    does not end in a row end, runs on for 1 MiB past the last row end read
+    (so no chunk passes `_CHUNK_BYTES` + 1 MiB), or holds a byte, a cell or
+    a row outside `_GRAMMAR` or the column count.
+    """
+    pow10 = _pow10()
+    signed_pow10 = np.stack([pow10, -pow10], axis=1).ravel()  # +-10^k at 2 * (k + 360) + sign
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        block = bytearray(_CHUNK_BYTES)
+        cuts, rows, at = [offset], [0], offset
+        while size := fh.readinto(block):
+            last = block.rfind(b"\n", 0, size)
+            if last >= 0:
+                cuts.append(at + last + 1)
+                rows.append(rows[-1] + int(np.count_nonzero(np.frombuffer(block, np.uint8, size) == 10)))
+            at += size
+            if at - cuts[-1] > 1 << 20:  # solve writes rows of at most 513 cells
+                return None
+        if rows[-1] == 0 or cuts[-1] != at:
+            return None
+        out = np.empty((rows[-1], ncol))
+
+        def chunks():
+            fh.seek(offset)
+            for i in range(len(cuts) - 1):
+                buf = np.empty(_PAD + cuts[i + 1] - cuts[i], np.uint8)
+                buf[: _PAD - 1] = 48
+                buf[_PAD - 1] = 10
+                # A file that shrank since the count leaves _BAD zero bytes, which fail the parse.
+                buf[_PAD + fh.readinto(buf[_PAD:]) :] = 0
+                yield buf, out[rows[i] : rows[i + 1]]
+
+        workers = min(_cpus(), len(cuts) - 1)
+        if workers == 1:
+            return out if all(_parse_chunk(buf, dest, signed_pow10) for buf, dest in chunks()) else None
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            pending, ok = [], True
+            for buf, dest in chunks():
+                if len(pending) == 2 * workers:
+                    ok = pending.pop(0).result()
+                    if not ok:
+                        break
+                pending.append(pool.submit(_parse_chunk, buf, dest, signed_pow10))
+            ok = all([future.result() for future in pending]) and ok
+    return out if ok else None
+
+
+def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray) -> bool:
+    """Parse the rows in buf[_PAD:] into dest; False, with dest partly written, off the grammar.
+
+    Tokens are the bytes that are not digits, from the LF at buf[_PAD - 1] on;
+    `_GRAMMAR` checks each against the one before it and the digits between.
+    A cell's mantissa `m` is its digits without the dot: a copy of the chunk
+    moves the integer digits one byte right, over the dot, and three
+    unaligned little-endian uint64 loads ending at the last digit take 24
+    bytes, masked to the digits by `_KEEP`.  Lemire's SWAR step turns each
+    load's 8 digit bytes into their value.  With k = exponent - fraction
+    digits, r = m * 10^k in np.longdouble, from `_pow10`'s table, is within
+    2^-63 relative of the exact value (two roundings of 2^-64).  If r *
+    _INNER and r * _OUTER, which bracket that interval, round to the same
+    float64, so does the exact value: that float64 is the cell, subnormal and
+    overflowing results included.  Cells whose bracket straddles a rounding
+    midpoint, mantissas past 19 significant digits or 24 digits, and |k| past
+    the table's 360 go through `float(cell)`.
+    """
+    # Numpy keeps errstate per thread: a pool thread does not see the caller's.
+    with np.errstate(all="ignore"):
+        text = buf[_PAD - 1 :]
+        pos = np.flatnonzero(text - np.uint8(48) > 9)
+        tok = _TOKEN[text[pos]]
+        exp = np.flatnonzero(tok == _EXP)
+        tok[exp[tok[exp + 1] == _NEG] + 1] = _SIGN  # 'e' is never last: a chunk ends with LF
+        code = np.diff(pos)  # digits between two tokens, plus one
+        np.minimum(code, 5, out=code)
+        code *= 8
+        code += tok[:-1]
+        code *= 8
+        code += tok[1:]
+        if not _GRAMMAR[code].all():
+            return False
+        ends = np.flatnonzero(tok <= _CR)
+        rows, ncol = dest.shape
+        is_cr = tok[ends] == _CR
+        if ends.size != dest.size or np.count_nonzero(is_cr) != rows or not is_cr[ncol - 1 :: ncol].all():
+            return False
+
+        # Per cell: the token before it (`,` or LF), its sign, where its mantissa
+        # ends, its dot, its digit and fraction digit counts and its table index 360 + k.
+        lead = np.empty_like(ends)
+        lead[0] = 0
+        np.add(ends[:-1], is_cr[:-1], out=lead[1:])
+        neg = tok[lead + 1] == _NEG
+        has_exp = tok[ends - 1] == _SIGN
+        mant = ends - 2 * has_exp
+        mant_end = pos[mant]
+        has_dot = tok[mant - 1] == _DOT
+        dot = pos[mant - 1]
+        ndig = mant_end - pos[lead] - 1
+        ndig -= neg
+        ndig -= has_dot
+        frac = (mant_end - dot - 1) * has_dot
+        index = 360 - frac
+        at = pos[ends[has_exp] - 2]
+        d = text[at[:, None] + [2, 3, 4]].astype(np.int64) - 48
+        value = np.where(pos[ends[has_exp]] - at == 4, d[:, 0] * 10 + d[:, 1], (d[:, 0] * 10 + d[:, 1]) * 10 + d[:, 2])
+        index[has_exp] += np.where(text[at + 1] == 45, -value, value)
+
+        # Move each integer part one byte right, over its dot, in a copy.
+        digits = buf.copy()
+        moved = np.flatnonzero(has_dot & (ndig <= 24))
+        src = dot[moved] + (_PAD - 1)
+        width = (ndig - frac)[moved]  # integer digits
+        while src.size:
+            digits[src] = digits[src - 1]
+            more = width > 1
+            src, width = src[more] - 1, width[more] - 1
+
+        # The 24 bytes ending at the last digit, as groups 2, 1, 0 of 8 digits;
+        # byte t of group g is digit 8g+7-t from the right.
+        rows24 = np.ndarray((digits.size - 23,), "V24", digits, 0, (1,))
+        groups = rows24[mant_end + (_PAD - 25)].view("<u8").reshape(-1, 3)
+        groups &= _KEEP[np.minimum(ndig, 24)].view("<u8").reshape(-1, 3)
+        groups *= 2561
+        groups >>= 8
+        groups &= 0x00FF00FF00FF00FF
+        groups *= 6553601
+        groups >>= 16
+        groups &= 0x0000FFFF0000FFFF
+        groups *= 42949672960001
+        groups >>= 32
+        slow = (ndig > 24) | (groups[:, 0] >= 1000) | (index.view(np.uint64) > 720)
+        m = groups[:, 2] + groups[:, 1] * 10**8 + groups[:, 0] * 10**16
+
+        r = m.astype(np.longdouble)
+        np.clip(index, 0, 720, out=index)
+        index *= 2
+        index += neg
+        r *= signed_pow10[index]
+        flat = dest.reshape(-1)
+        flat[...] = r * _INNER
+        r *= _OUTER
+        slow |= flat != r.astype(np.float64)
+        for i in np.flatnonzero(slow).tolist():
+            flat[i] = float(text[pos[lead[i]] + 1 : pos[ends[i]]].tobytes())
+    return True
 
 
 def _json_numbers(name: str, cells: list) -> np.ndarray:

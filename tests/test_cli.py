@@ -1,9 +1,11 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -629,6 +631,105 @@ def test_json_solution_cells_must_be_numbers(tmp_path, capsys, rows, column):
     solution.write_text(json.dumps(rows))
     assert main(["eval", str(solution), "--at", "0.5"]) == 2
     assert f"column {column!r} holds a value that is not a number" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the CSV reader: chunks, the loadtxt fallback and the worker threads
+# ---------------------------------------------------------------------------
+
+EXTENDED = pytest.mark.skipif(not cli._EXTENDED, reason="np.longdouble has no 64-bit significand")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _loadtxt_run(monkeypatch, argv):
+    """main(argv) with every CSV body read by np.loadtxt."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_EXTENDED", False)
+        return _run(argv)
+
+
+def _solved(tmp_path, payload):
+    solution = tmp_path / "solution.csv"
+    assert main(["solve", str(write_config(tmp_path, payload)), "--output", str(solution), "--quiet"]) == 0
+    return solution
+
+
+@EXTENDED
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("chunk", ["few-bytes", "one-row", "cuts-cells"])
+@pytest.mark.parametrize("payload", [SCALAR_FINE_CONFIG, CONSTANT_CONFIG], ids=["n0", "n2"])
+def test_eval_output_does_not_depend_on_the_chunks(tmp_path, monkeypatch, payload, chunk, cpus):
+    solution = _solved(tmp_path, payload)
+    argv = ["eval", str(solution), "--at", "0,0.1,0.25,0.3,0.5,0.7,0.999,1"]
+    expected = _loadtxt_run(monkeypatch, argv)
+    assert expected[0] == 0
+    first_row = solution.read_bytes().split(b"\r\n")[1]
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", {"few-bytes": 5, "one-row": len(first_row) + 2, "cuts-cells": 100}[chunk])
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    assert _run(argv) == expected
+
+
+@EXTENDED
+@pytest.mark.parametrize("edit", ["oops", "nan", "-inf", "1E5", "+1", "ragged"])
+@pytest.mark.parametrize("row", [1, -2], ids=["first-chunk", "last-chunk"])
+def test_cells_off_the_grammar_end_as_with_loadtxt(tmp_path, monkeypatch, row, edit):
+    solution = _solved(tmp_path, SCALAR_FINE_CONFIG)
+    lines = solution.read_bytes().split(b"\r\n")
+    x = lines[row].split(b",")[0]
+    lines[row] = x if edit == "ragged" else x + b"," + edit.encode()
+    solution.write_bytes(b"\r\n".join(lines))
+    argv = ["eval", str(solution), "--at", "0.5"]
+    expected = _loadtxt_run(monkeypatch, argv)
+    assert expected[0] == (0 if edit in ("1E5", "+1") else 2)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 256)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    assert _run(argv) == expected
+
+
+@EXTENDED
+def test_eval_joins_its_workers_and_raises_no_warning(tmp_path, monkeypatch):
+    pools = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 4)  # one row a chunk
+    monkeypatch.setattr(cli, "_cpus", lambda: 4)
+    rows = {
+        "three-rows": ["0,1", "0.5,2", "1,3"],
+        "ten-rows": [f"{k / 9!r},{k}" for k in range(10)],
+        "loadtxt-fallback": ["0,1", "0.5,1E5", "1,3"],
+        "loadtxt-error": ["0,1", "0.5,oops", "1,3"],
+        # The cast of 1.797693134862316e308 to float64 overflows in the worker.
+        "overflow": ["0,1", "0.5,1.797693134862316e+308", "1,3e-320"],
+    }
+    codes = {}
+    for name, body in rows.items():
+        solution = tmp_path / f"{name}.csv"
+        solution.write_bytes("".join(f"{row}\r\n" for row in ["x,value", *body]).encode())
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes[name] = _run(["eval", str(solution), "--at", "0.5"])[0]
+        assert threading.active_count() == before
+    assert codes == {"three-rows": 0, "ten-rows": 0, "loadtxt-fallback": 0, "loadtxt-error": 2, "overflow": 2}
+    assert pools == [3, 4, 3, 3, 3]  # min(CPUs, chunks)
+
+    # One CPU parses in the calling thread, whose numpy errstate the parser overrides.
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    with np.errstate(all="raise"):
+        assert _run(["eval", str(tmp_path / "overflow.csv"), "--at", "0.5"])[0] == 2
+    assert len(pools) == 5
 
 
 # ---------------------------------------------------------------------------

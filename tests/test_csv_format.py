@@ -1,6 +1,6 @@
-"""The CSV cell formatter against Python's own `'%.17g'`, byte for byte."""
+"""The CSV cell formatter against Python's own `'%.17g'`, byte for byte, and the reader against `float()`."""
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -107,3 +107,123 @@ def test_writer_without_extended_precision_gives_the_same_bytes(monkeypatch):
     monkeypatch.setattr(cli, "_EXTENDED", False)
     assert cli._csv_block(cells) == fast
     assert fast == b"".join(b"%.17g,%.17g\r\n" % (x, v) for x, v in cells.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the reader
+# ---------------------------------------------------------------------------
+
+
+def _read(tmp_dir, cells, ncol=1):
+    """The CSV reader's matrix of text cells laid out `ncol` to a row under a header."""
+    header = b"x" + b",c" * (ncol - 1) + b"\r\n"
+    body = b"".join(b",".join(cells[i : i + ncol]) + b"\r\n" for i in range(0, len(cells), ncol))
+    path = tmp_dir / "body.csv"
+    path.write_bytes(header + body)
+    return cli._read_csv_body(path, len(header), ncol)
+
+
+def _assert_read_as_float(tmp_dir, cells):
+    got = _read(tmp_dir, cells)
+    assert got is not None
+    want = np.array([float(cell) for cell in cells])
+    assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+
+
+def _midpoint_cells(count, digits):
+    """Float64 rounding midpoints of random normal floats, as `digits`-digit `%e` strings,
+    each with its distance to the midpoint in units of the float's last place."""
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+    cells = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for v in values.tolist():
+            up = float(np.nextafter(v, np.inf))
+            mid = (Fraction(v) + Fraction(up)) / 2
+            mantissa, exp = format(Decimal(mid.numerator) / mid.denominator, f".{digits - 1}e").split("e")
+            cell = f"{mantissa}e{int(exp):+03d}"
+            cells.append((cell.encode(), abs(Fraction(cell) - mid) / abs(Fraction(up) - Fraction(v))))
+    return cells
+
+
+@EXTENDED
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 17))
+def test_reader_gives_float_of_percent_g_cells(tmp_path_factory, bits, precision):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    cells = [b"%.*g" % (precision, v) for v in values[np.isfinite(values)].tolist()]
+    if cells:
+        _assert_read_as_float(tmp_path_factory.mktemp("cells"), cells)
+
+
+@EXTENDED
+def test_reader_gives_float_near_rounding_midpoints(tmp_path, monkeypatch):
+    # 17-19 digits go through the longdouble product; 20 and more through float().
+    cells = [cell for digits in (17, 18, 19, 20, 21, 25) for cell in _midpoint_cells(400, digits)]
+    _assert_read_as_float(tmp_path, [cell for cell, _ in cells])
+    # Within 2^-13 of a midpoint the product cannot settle the rounding: float() does.
+    settled_by_float = []
+    monkeypatch.setattr(cli, "float", lambda text: settled_by_float.append(text) or float(text), raising=False)
+    hard = [cell for cell, distance in cells if distance <= Fraction(1, 8192)]
+    assert len(hard) > 1000
+    _read(tmp_path, hard)
+    assert sorted(settled_by_float) == sorted(hard)
+
+
+@EXTENDED
+def test_reader_gives_float_on_edges(tmp_path):
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf), EDGES[:-3]])
+    cells = [b"%.17g" % v for v in np.concatenate([values, -values]).tolist()]
+    cells += [repr(v).encode() for v in values.tolist()]
+    cells += [
+        b"5e-324", b"2e-324", b"0", b"-0", b"0.0", b"-0.000", b"0e+00", b"-0e-999",
+        b"1.7976931348623157e+308", b"1.797693134862316e+308", b"-1.797693134862316e+308", b"1e+400", b"1e-400",
+        b"1234567890123456789", b"9999999999999999999", b"12345678901234567890", b"18446744073709551616",
+        b"0.1234567890123456789", b"1.2345678901234567890", b"0.000000000000000000000001",
+        b"1e+100", b"1e-100", b"9.99e+299", b"1.5e-310", b"123456789012345678e-320", b"7e+360", b"7e-360",
+    ]
+    _assert_read_as_float(tmp_path, cells)
+    assert np.signbit(_read(tmp_path, [b"-0", b"0", b"-0.0"]).ravel()).tolist() == [True, False, True]
+    assert _read(tmp_path, [b"1.7976931348623157e+308", b"1.797693134862316e+308"]).ravel().tolist() == [
+        1.7976931348623157e308, float("inf"),
+    ]
+
+
+@EXTENDED
+@pytest.mark.parametrize("ncol", [2, 17])
+def test_reader_matches_loadtxt_on_whole_files(tmp_path, ncol):
+    rng = np.random.default_rng(ncol)
+    xs = np.arange(5000) / 2.0**12
+    columns = [rng.standard_normal(xs.size) * 10.0 ** rng.integers(-30, 30, xs.size) for _ in range(ncol - 1)]
+    columns[0][: len(EDGES) - 3] = EDGES[:-3]
+    path = tmp_path / "solution.csv"
+    cli._write_solution(path, "csv", xs, [f"c{k}" for k in range(ncol - 1)], columns)
+    header = path.read_bytes().index(b"\n") + 1
+    got = cli._read_csv_body(path, header, ncol)
+    want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert got.shape == want.shape == (xs.size, ncol)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@EXTENDED
+@pytest.mark.parametrize(
+    "body",
+    [b"", b"0,1\r\n1,2", b"0,1\n1,2\n", b"0,1\r\n1,2,3\r\n", b"0,+1\r\n", b"0,1E5\r\n", b"0, 1\r\n",
+     b"0,.5\r\n", b"0,5.\r\n", b"0,1e5\r\n", b"0,1e+5\r\n", b"0,1e+0005\r\n", b"0,1.2.3\r\n", b"0,--1\r\n",
+     b"0,nan\r\n", b"0,\r\n", b"0,1\r\n\r\n", b"0,1e+05.5\r\n", b'0,"1"\r\n', b"0,\xff\r\n"],
+)
+def test_reader_leaves_files_off_its_grammar_to_loadtxt(tmp_path, body):
+    path = tmp_path / "solution.csv"
+    path.write_bytes(b"x,value\r\n" + body)
+    assert cli._read_csv_body(path, 9, 2) is None
+
+
+@EXTENDED
+def test_reader_leaves_rows_of_mebibytes_to_loadtxt(tmp_path):
+    path = tmp_path / "solution.csv"
+    path.write_bytes(b"x,value\r\n0,1\r\n1," + b"1" * (1 << 21) + b"\r\n")
+    assert cli._read_csv_body(path, 9, 2) is None
+    path.write_bytes(b"x,value\r\n0,1\r\n1," + b"1" * ((1 << 20) - 8) + b"\r\n")
+    assert cli._read_csv_body(path, 9, 2)[1, 1] == float("1" * ((1 << 20) - 8))
