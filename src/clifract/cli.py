@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import blade_key
-from .config import ConfigError, ProblemSetup, build_problem, load_config
+from .config import MAX_GRID_CELLS, ConfigError, ProblemSetup, build_problem, load_config
 from .engine import ConvergenceError, SpaceSpec, _grid_points, empirical_gamma, gamma_gate
 from .lift import clifford_empirical_gamma, clifford_fixed_point, residual
 
@@ -60,6 +60,9 @@ _EXACT_LIMIT = np.array([(2**64 - 1) // 5**k for k in range(28)], dtype=np.uint6
 _POINT = np.array([0, 17, 17, 17, 17, *range(17), 0], dtype=np.uint8)
 _PREFIX = np.zeros((5, 23), dtype=np.uint8)
 _PREFIX[:, 1:5] = np.frombuffer(b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", np.uint8).reshape(4, 5).T
+# The most cells a solution body may hold: (grid_M + 1) rows of 1 + 2^n cells,
+# with (grid_M + 1) * 2^n <= MAX_GRID_CELLS, so eval allocates no more.
+_MAX_BODY_CELLS = 2 * MAX_GRID_CELLS
 # The CSV reader takes the body in reads of this many bytes, cut back to the last row end.
 # A worker's arrays for one chunk take about 12x its bytes, so this bounds the reader's memory.
 _CHUNK_BYTES = 1 << 18
@@ -439,7 +442,10 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 with warnings.catch_warnings():
                     # A header-only file warns "input contained no data"; its shape says so.
                     warnings.simplefilter("ignore")
-                    matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+                    # One row past the bound, so that a longer body is refused before it is read.
+                    limit = _MAX_BODY_CELLS // len(header) + 1
+                    matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=limit)
+                _check_body_cells(len(matrix), len(header))
     except ConfigError:
         raise
     except OSError as exc:
@@ -449,6 +455,11 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     if matrix.shape[0] == 0 or matrix.shape[1] != len(header):
         raise ConfigError("<solution>", "malformed CSV body")
     return header[1:], matrix[:, 0], matrix[:, 1:]
+
+
+def _check_body_cells(rows: int, ncol: int) -> None:
+    if rows * ncol > _MAX_BODY_CELLS:
+        raise ConfigError("<solution>", f"more than {_MAX_BODY_CELLS} cells, the most a solve output holds")
 
 
 def _cell_grammar() -> np.ndarray:
@@ -490,7 +501,8 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
     Returns None, for np.loadtxt to read the file, when the body is empty,
     does not end in a row end, runs on for 1 MiB past the last row end read
     (so no chunk passes `_CHUNK_BYTES` + 1 MiB), or holds a byte, a cell or
-    a row outside `_GRAMMAR` or the column count.
+    a row outside `_GRAMMAR` or the column count.  Raises ConfigError, before it
+    allocates the matrix, on a body of more than `_MAX_BODY_CELLS` cells.
     """
     pow10 = _pow10()
     signed_pow10 = np.stack([pow10, -pow10], axis=1).ravel()  # +-10^k at 2 * (k + 360) + sign
@@ -508,6 +520,7 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
                 return None
         if rows[-1] == 0 or cuts[-1] != at:
             return None
+        _check_body_cells(rows[-1], ncol)
         out = np.empty((rows[-1], ncol))
 
         def chunks():

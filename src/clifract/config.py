@@ -462,9 +462,6 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
             partition = uniform_partition(*layout["interval"], layout["N"])
         else:
             partition = from_knots(layout["knots"])
-    n_maps = partition.size
-    if len(config.s) != n_maps or len(config.q) != n_maps:
-        raise ConfigError("q", f"expected {n_maps} q and s entries")
     s_fields = tuple(
         _build_field(entry, partition, config.grid_m, f"s[{i}]")
         for i, entry in enumerate(config.s)
@@ -476,5 +473,6 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
         }
         for i, entry in enumerate(config.q)
     )
-    params = CliffordRBParams(config.n, partition, q_blades, s_fields)
+    with _naming("q"):  # one q and one s per map: parsing checks this for JSON configs
+        params = CliffordRBParams(config.n, partition, q_blades, s_fields)
     return ProblemSetup(config, partition, params)

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .partition import AffinePartition
 
@@ -86,7 +85,8 @@ class Poly:
         object.__setattr__(self, "coeffs", cs)
 
     def __call__(self, x):
-        return P.polyval(x, self.coeffs)
+        # Horner from the top coefficient, the steps numpy.polynomial.polyval takes.
+        return np.polyval(self.coeffs[::-1], x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +154,13 @@ Field = Union[float, int, Poly, GridFunction]
 
 def _field_values(field: Field, points: np.ndarray, at: np.ndarray | _Interp) -> np.ndarray:
     """The field at one tile's pre-images `points`; samples are read at grid
-    indices `at`, or pulled back by `at`, the tile's own stored weights."""
-    if isinstance(field, (int, float)):
-        return np.full(len(points), float(field))
+    indices `at`, or pulled back by `at`, the tile's own stored weights.  The
+    problem's constructor has checked that the field is one of the three kinds."""
     if isinstance(field, Poly):
         return np.asarray(field(points), dtype=float)
     if isinstance(field, GridFunction):
         return at(field.values) if isinstance(at, _Interp) else field.values[at]
-    raise TypeError(f"unsupported field type {type(field).__name__}")
+    return np.full(len(points), float(field))
 
 
 def field_sup(field: Field) -> float:
@@ -173,31 +172,41 @@ def field_sup(field: Field) -> float:
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
+def _check_problem(partition: AffinePartition, q: tuple, s: tuple, lifted: bool = False) -> None:
+    """One q_i and one s_i per map, each s_i a constant or a GridFunction, and
+    every q field a constant, a Poly or a GridFunction.  A lifted q_i maps
+    blade keys to fields, and an error names the blade by its key."""
+    n_maps = partition.size
+    if len(q) != n_maps or len(s) != n_maps:
+        raise ValueError(
+            f"q and s must both have one entry per map: N={n_maps}, "
+            f"len(q)={len(q)}, len(s)={len(s)}"
+        )
+    for i, entry in enumerate(s):
+        if not isinstance(entry, (int, float, GridFunction)):
+            raise ValueError(f"s[{i}] must be a constant or a GridFunction")
+    for i, entry in enumerate(q):
+        if lifted and not isinstance(entry, Mapping):
+            raise ValueError(f"q[{i}] must map blade keys to fields")
+        for key, field in entry.items() if lifted else [(None, entry)]:
+            if not isinstance(field, (int, float, Poly, GridFunction)):
+                where = f"q[{i}]" if key is None else f"q[{i}] blade {key!r}"
+                raise ValueError(f"{where} must be a constant, Poly, or GridFunction")
+
+
 @dataclass(frozen=True, eq=False)
 class RBParams:
-    """Problem data: the partition, one q_i and one bounded multiplier s_i per tile."""
+    """Problem data: the partition, one q_i and one bounded multiplier s_i per
+    tile; the one-row case of `CliffordRBParams`."""
 
     partition: AffinePartition
     q: tuple[Field, ...]
     s: tuple[Field, ...]
 
     def __post_init__(self) -> None:
-        q = tuple(self.q)
-        s = tuple(self.s)
-        n_maps = self.partition.size
-        if len(q) != n_maps or len(s) != n_maps:
-            raise ValueError(
-                f"q and s must both have one entry per map: N={n_maps}, "
-                f"len(q)={len(q)}, len(s)={len(s)}"
-            )
-        for i, entry in enumerate(s):
-            if not isinstance(entry, (int, float, GridFunction)):
-                raise ValueError(f"s[{i}] must be a constant or a GridFunction")
-        for i, entry in enumerate(q):
-            if not isinstance(entry, (int, float, Poly, GridFunction)):
-                raise ValueError(f"q[{i}] must be a constant, Poly, or GridFunction")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "q", tuple(self.q))
+        object.__setattr__(self, "s", tuple(self.s))
+        _check_problem(self.partition, self.q, self.s)
 
 
 @dataclass(frozen=True)
@@ -590,52 +599,18 @@ def empirical_gamma(params: RBParams, grid_m: int, trials: int, seed: int) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _interpolation_polys(
-    x: np.ndarray, y: np.ndarray, s: Sequence[float]
-) -> tuple[Poly, ...]:
-    """Affine q_i pinning the fixed point to the data: q_i(x_0) + s_i y_0 = y_i-1
-    and q_i(x_N) + s_i y_N = y_i."""
-    x0, xn = float(x[0]), float(x[-1])
-    y0, yn = float(y[0]), float(y[-1])
-    polys = []
-    for i, s_i in enumerate(s):
-        left = float(y[i]) - s_i * y0
-        right = float(y[i + 1]) - s_i * yn
-        slope = (right - left) / (xn - x0)
-        polys.append(Poly((left - slope * x0, slope)))
-    return tuple(polys)
-
-
-def _fif_knots(x: Sequence[float], s: Sequence[float]) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Checked knots and multipliers of an interpolation problem."""
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1 or len(xs) < 3:
-        raise ValueError("need at least 3 knots (N >= 2)")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    scalars = tuple(float(v) for v in s)
-    if len(scalars) != len(xs) - 1:
-        raise ValueError(f"need one multiplier per subinterval: {len(xs) - 1}, got {len(scalars)}")
-    if any(abs(v) >= 1.0 for v in scalars):
-        raise ValueError("interpolation multipliers must satisfy |s_i| < 1")
-    return xs, scalars
-
-
 def fif_from_data(
     x: Sequence[float], y: Sequence[float], s: Sequence[float]
 ) -> RBParams:
     """Interpolation problem through the points (x_j, y_j) with multipliers s.
 
     The fixed point is continuous and passes through every data point; with
-    all s_i = 0 it degenerates to the piecewise-linear interpolant.
+    all s_i = 0 it degenerates to the piecewise-linear interpolant.  This is
+    the one-row case of `clifford_fif_from_data` over Cl(0,0) = R.
     """
-    from .partition import from_knots
+    from .lift import clifford_fif_from_data
 
-    xs, scalars = _fif_knots(x, s)
-    ys = np.asarray(y, dtype=float)
-    if ys.shape != xs.shape:
-        raise ValueError(f"expected {len(xs)} ordinates, got shape {ys.shape}")
-    return RBParams(from_knots(xs), _interpolation_polys(xs, ys, scalars), scalars)
+    return clifford_fif_from_data(0, x, {0: y}, s).component_params(0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,12 @@ from .engine import (
     ConvergenceError,
     Field,
     GridFunction,
+    Poly,
     RBParams,
     SpaceSpec,
     _build_plan,
+    _check_problem,
     _check_settings,
-    _fif_knots,
-    _interpolation_polys,
     _solve,
     empirical_gamma,
     norm,
@@ -193,31 +193,18 @@ class CliffordRBParams:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        n_maps = self.partition.size
-        q = tuple(self.q)
-        s = tuple(self.s)
-        if len(q) != n_maps or len(s) != n_maps:
-            raise ValueError(
-                f"q and s must both have one entry per map: N={n_maps}, "
-                f"len(q)={len(q)}, len(s)={len(s)}"
-            )
+        q, s = tuple(self.q), tuple(self.s)
+        _check_problem(self.partition, q, s, lifted=True)
         frozen_q = []
-        for i, blades in enumerate(q):
-            normalized: dict[int, Field] = {}
-            for key, entry in blades.items():
-                normalized[_as_mask(key, self.n)] = entry
+        for blades in q:
+            normalized = {_as_mask(key, self.n): entry for key, entry in blades.items()}
             frozen_q.append(MappingProxyType(dict(sorted(normalized.items()))))
         object.__setattr__(self, "q", tuple(frozen_q))
         object.__setattr__(self, "s", s)
-        # Validate field types and s boundedness through the scalar container.
-        self.component_params(0)
 
     @property
     def support(self) -> tuple[int, ...]:
-        masks: set[int] = set()
-        for blades in self.q:
-            masks.update(blades)
-        return tuple(sorted(masks))
+        return tuple(sorted(set().union(*self.q)))
 
     def component_params(self, mask: int | str) -> RBParams:
         return RBParams(self.partition, self._q_row(_as_mask(mask, self.n)), self.s)
@@ -501,6 +488,35 @@ def pv_restrict(f: CliffordGridFunction) -> CliffordGridFunction:
 # ---------------------------------------------------------------------------
 
 
+def _interpolation_polys(x: np.ndarray, y: np.ndarray, s: Sequence[float]) -> tuple[Poly, ...]:
+    """Affine q_i pinning the fixed point to the data: q_i(x_0) + s_i y_0 = y_i-1
+    and q_i(x_N) + s_i y_N = y_i."""
+    x0, xn = float(x[0]), float(x[-1])
+    y0, yn = float(y[0]), float(y[-1])
+    polys = []
+    for i, s_i in enumerate(s):
+        left = float(y[i]) - s_i * y0
+        right = float(y[i + 1]) - s_i * yn
+        slope = (right - left) / (xn - x0)
+        polys.append(Poly((left - slope * x0, slope)))
+    return tuple(polys)
+
+
+def _fif_knots(x: Sequence[float], s: Sequence[float]) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Checked knots and multipliers of an interpolation problem."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim != 1 or len(xs) < 3:
+        raise ValueError("need at least 3 knots (N >= 2)")
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("knots must be strictly increasing")
+    scalars = tuple(float(v) for v in s)
+    if len(scalars) != len(xs) - 1:
+        raise ValueError(f"need one multiplier per subinterval: {len(xs) - 1}, got {len(scalars)}")
+    if any(abs(v) >= 1.0 for v in scalars):
+        raise ValueError("interpolation multipliers must satisfy |s_i| < 1")
+    return xs, scalars
+
+
 def clifford_fif_from_data(
     n: int,
     x: Sequence[float],
@@ -509,9 +525,9 @@ def clifford_fif_from_data(
 ) -> CliffordRBParams:
     """Per-blade interpolation data over shared knots and shared multipliers.
 
-    Component A of the fixed point passes through (x_j, y_A_j); the scalar
-    and lifted constructions use identical coefficient arithmetic, so a
-    component solve matches the corresponding scalar solve bit for bit.
+    Component A of the fixed point passes through (x_j, y_A_j).  The scalar
+    `fif_from_data` is the one-row case, n = 0, so a component solve matches
+    the scalar solve of its data bit for bit.
     """
     _check_dimension(n)
     xs, scalars = _fif_knots(x, s)
@@ -521,10 +537,7 @@ def clifford_fif_from_data(
         mask = _as_mask(key, n)
         ys = np.asarray(data, dtype=float)
         if ys.shape != xs.shape:
-            raise ValueError(f"blade {key!r}: expected {len(xs)} ordinates, got {len(ys)}")
+            raise ValueError(f"blade {key!r}: expected {len(xs)} ordinates, got shape {ys.shape}")
         per_blade[mask] = _interpolation_polys(xs, ys, scalars)
-    q = tuple(
-        {mask: polys[i] for mask, polys in per_blade.items()}
-        for i in range(len(scalars))
-    )
+    q = tuple({mask: polys[i] for mask, polys in per_blade.items()} for i in range(len(scalars)))
     return CliffordRBParams(n, partition, q, scalars)

@@ -732,6 +732,32 @@ def test_eval_joins_its_workers_and_raises_no_warning(tmp_path, monkeypatch):
     assert len(pools) == 5
 
 
+@pytest.mark.parametrize("fast", [pytest.param(True, marks=EXTENDED), False], ids=["numpy-parser", "loadtxt"])
+def test_eval_refuses_a_body_past_the_cell_bound(tmp_path, monkeypatch, fast):
+    solution = tmp_path / "solution.csv"
+    solution.write_bytes(b"x,value\r\n" + b"".join(f"{k / 49!r},{k}\r\n".encode() for k in range(50)))
+    loadtxt, read = np.loadtxt, []
+
+    def recording(*args, **kwargs):
+        assert not fast, "the numpy parser reads this body"
+        read.append(loadtxt(*args, **kwargs))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "_EXTENDED", fast)
+    monkeypatch.setattr(np, "loadtxt", recording)
+    monkeypatch.setattr(cli, "_MAX_BODY_CELLS", 100)
+    assert _run(["eval", str(solution), "--at", "0.5"])[:2] == (0, "x,value,source\r\n0.5,24.5,interpolated\r\n")
+    monkeypatch.setattr(cli, "_MAX_BODY_CELLS", 99)
+    assert _run(["eval", str(solution), "--at", "0.5"]) == (
+        2, "", "config error: <solution>: more than 99 cells, the most a solve output holds\n"
+    )
+    assert [len(matrix) for matrix in read] == ([] if fast else [50, 50])
+    # np.loadtxt stops one row past the bound of 10 rows, not at the end of the file.
+    monkeypatch.setattr(cli, "_MAX_BODY_CELLS", 20)
+    assert _run(["eval", str(solution), "--at", "0.5"])[0] == 2
+    assert [len(matrix) for matrix in read] == ([] if fast else [50, 50, 11])
+
+
 # ---------------------------------------------------------------------------
 # the config boundary
 # ---------------------------------------------------------------------------

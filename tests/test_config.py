@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clifract import CliffordRBParams, GridFunction, Poly, SpaceSpec
+from clifract.cli import main
 from clifract.config import ConfigError, ProblemConfig, build_problem, load_config
 
 SCALAR_CONFIG = {
@@ -173,9 +174,59 @@ def test_probe_bound_admits_its_limit():
 
 
 def _as_fif(raw, x, y, s=(0.5, 0.5)):
-    """Turn the scalar partition/q config into an interpolation problem."""
+    """Turn the scalar partition/q config into an interpolation problem, in place; returns it."""
     del raw["partition"], raw["q"]
     raw.update(fif={"x": x, "y": y}, s=list(s))
+    return raw
+
+
+# (field, config): each config is SCALAR_CONFIG, CLIFFORD_CONFIG or an interpolation
+# problem with one field broken.
+CHECK_ERRORS = {
+    "root-not-an-object": ("<root>", [SCALAR_CONFIG]),
+    "n-past-blade-keys": ("n", dict(SCALAR_CONFIG, n=10)),
+    "trials-below-1": ("trials", dict(SCALAR_CONFIG, trials=0)),
+    "partition-not-an-object": ("partition", dict(SCALAR_CONFIG, partition=[0.0, 1.0])),
+    "partition-unknown-key": ("partition.M", dict(SCALAR_CONFIG, partition={"interval": [0, 1], "N": 2, "M": 4})),
+    "partition-N-below-2": ("partition.N", dict(SCALAR_CONFIG, partition={"interval": [0, 1], "N": 1})),
+    "knots-decreasing": ("partition.knots", dict(SCALAR_CONFIG, partition={"interval": [0, 1], "knots": [0, 1, 0.5]})),
+    "knots-miss-an-end": (
+        "partition.knots", dict(SCALAR_CONFIG, partition={"interval": [0, 1], "knots": [0, 0.5, 1.1]})
+    ),
+    "q-not-a-list": ("q", dict(SCALAR_CONFIG, q={"poly": [1.0]})),
+    "bare-q-not-a-field": ("q[1]", dict(SCALAR_CONFIG, q=[1.0, "x"])),
+    "lifted-q-not-an-object": ("q[0]", dict(CLIFFORD_CONFIG, q=[1.0, {"1": 0.5}])),
+    "poly-s": ("s[0]", dict(SCALAR_CONFIG, s=[{"poly": [0.5]}, 0.5])),
+    "fif-not-an-object": ("fif", dict(_as_fif(dict(SCALAR_CONFIG), [0, 0.5, 1], [0, 1, 0]), fif=[0, 0.5, 1])),
+    "fif-x-empty": ("fif.x", _as_fif(dict(SCALAR_CONFIG), [], [0, 1, 0])),
+    "fif-y-length-n0": ("fif.y", _as_fif(dict(SCALAR_CONFIG), [0, 0.5, 1], [0, 1])),
+    "fif-s-at-1": ("s", _as_fif(dict(SCALAR_CONFIG), [0, 0.5, 1], [0, 1, 0], s=[1.0, 0.5])),
+    "space-unknown-key": ("space.r", dict(SCALAR_CONFIG, space={"tag": "Lp", "p": 2, "r": 1})),
+    "output-not-an-object": ("output", dict(SCALAR_CONFIG, output="out.csv")),
+    "output-unknown-key": ("output.name", dict(SCALAR_CONFIG, output={"name": "out.csv"})),
+}
+
+
+@pytest.mark.parametrize("field, raw", CHECK_ERRORS.values(), ids=CHECK_ERRORS.keys())
+def test_check_names_the_field_of_every_config_error(tmp_path, capsys, field, raw):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {field}: ")
+
+
+def test_configs_built_in_python_are_checked_too():
+    # JSON object keys are strings, and parsing matches q and s to the partition;
+    # a dict or a ProblemConfig built in Python skips both.
+    with pytest.raises(ConfigError) as excinfo:
+        ProblemConfig.from_dict(dict(CLIFFORD_CONFIG, q=[{1: 0.5}, {}]))
+    assert excinfo.value.field == "q[0]"
+    cfg = ProblemConfig(n=0, grid_m=64, s=(0.5,), partition={"interval": [0.0, 1.0], "N": 2}, q=(1.0, 1.0))
+    with pytest.raises(ConfigError) as excinfo:
+        build_problem(cfg)
+    assert excinfo.value.field == "q"
 
 
 def test_fif_conflicts_with_partition():

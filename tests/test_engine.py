@@ -57,6 +57,20 @@ def test_sample_and_grid_points():
     assert f.sup_norm() == 4.0
 
 
+def test_poly_matches_numpy_polynomial_bit_for_bit(rng):
+    from numpy.polynomial import polynomial as P
+
+    x = np.concatenate([rng.uniform(-3.0, 3.0, 64), [-0.0, 0.0, -1.0, 1.0]])
+    for degree in range(6):
+        for _ in range(40):
+            coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-3, 4, degree + 1)
+            coeffs[rng.random(degree + 1) < 0.2] = -0.0
+            coeffs[rng.random(degree + 1) < 0.2] = 0.0
+            poly = Poly(tuple(coeffs))
+            assert np.array_equal(poly(x).view(np.uint64), P.polyval(x, coeffs).view(np.uint64))
+            assert np.float64(poly(-1.5)).view(np.uint64) == np.float64(P.polyval(-1.5, coeffs)).view(np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # operator application
 # ---------------------------------------------------------------------------
@@ -468,6 +482,8 @@ def test_fif_validates_input():
         fif_from_data([0.0, 0.5, 1.0], [0, 0, 0], [1.0, 0.1])
     with pytest.raises(ValueError):
         fif_from_data([0.0, 0.5, 1.0], [0, 0, 0], [0.1])
+    with pytest.raises(ValueError, match="expected 3 ordinates"):
+        fif_from_data([0.0, 0.5, 1.0], [0, 0], [0.1, 0.1])
 
 
 # ---------------------------------------------------------------------------

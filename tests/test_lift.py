@@ -103,6 +103,47 @@ def test_stack_is_read_only_and_holds_the_components():
         assert not result.values.flags.writeable
 
 
+_HALVES = uniform_partition(0.0, 1.0, 2)
+_MAP_COUNT = r"one entry per map: N=2, len\(q\)=1, len\(s\)=2"
+_S_FIELD = r"s\[0\] must be a constant or a GridFunction"
+_Q_FIELD = "must be a constant, Poly, or GridFunction"
+
+
+@pytest.mark.parametrize(
+    "build, pattern",
+    [
+        pytest.param(lambda: RBParams(_HALVES, (1.0,), (0.5, 0.5)), _MAP_COUNT, id="RBParams-map-count"),
+        pytest.param(
+            lambda: CliffordRBParams(2, _HALVES, ({0: 1.0},), (0.5, 0.5)), _MAP_COUNT, id="lifted-map-count"
+        ),
+        pytest.param(lambda: RBParams(_HALVES, (1.0, 1.0), (Poly((0.5,)), 0.5)), _S_FIELD, id="RBParams-poly-s"),
+        pytest.param(
+            lambda: CliffordRBParams(2, _HALVES, ({0: 1.0}, {}), (Poly((0.5,)), 0.5)), _S_FIELD, id="lifted-poly-s"
+        ),
+        pytest.param(lambda: RBParams(_HALVES, ("bad", 1.0), (0.5, 0.5)), r"q\[0\] " + _Q_FIELD, id="RBParams-q"),
+        pytest.param(
+            lambda: CliffordRBParams(2, _HALVES, ({"": "bad"}, {}), (0.5, 0.5)),
+            r"q\[0\] blade '' " + _Q_FIELD,
+            id="lifted-scalar-blade-q",
+        ),
+        pytest.param(
+            lambda: CliffordRBParams(2, _HALVES, (1.0, {}), (0.5, 0.5)),
+            r"q\[0\] must map blade keys to fields",
+            id="lifted-q-not-a-mapping",
+        ),
+        # Only the scalar blade was checked before, so this field reached the solver.
+        pytest.param(
+            lambda: CliffordRBParams(2, _HALVES, ({0: 1.0}, {"12": [1, 2]}), (0.5, 0.5)),
+            r"q\[1\] blade '12' " + _Q_FIELD,
+            id="lifted-non-scalar-blade-q",
+        ),
+    ],
+)
+def test_every_field_is_validated_at_construction(build, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        build()
+
+
 def test_params_component_extraction():
     params = lifted_problem()
     scalar_params = params.component_params("1")
