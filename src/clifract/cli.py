@@ -439,13 +439,20 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             if _EXTENDED and head.isascii():
                 matrix = _read_csv_body(path, len(head), len(header))
             if matrix is None:
+                # np.loadtxt takes the row width from the first body row (it skips empty
+                # lines), which may be wider than the header: the row bound takes the wider.
+                start, row = fh.tell(), fh.readline()
+                while row and not row.rstrip("\r\n"):
+                    row = fh.readline()
+                width = max(len(header), len(next(csv.reader([row]), [])))
+                fh.seek(start)
                 with warnings.catch_warnings():
                     # A header-only file warns "input contained no data"; its shape says so.
                     warnings.simplefilter("ignore")
                     # One row past the bound, so that a longer body is refused before it is read.
-                    limit = _MAX_BODY_CELLS // len(header) + 1
+                    limit = _MAX_BODY_CELLS // width + 1
                     matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=limit)
-                _check_body_cells(len(matrix), len(header))
+                _check_body_cells(*matrix.shape)
     except ConfigError:
         raise
     except OSError as exc:

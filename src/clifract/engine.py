@@ -153,11 +153,9 @@ Field = Union[float, int, Poly, GridFunction]
 
 
 def _field_values(field: Field, points: np.ndarray, at: np.ndarray | _Interp) -> np.ndarray:
-    """The field at one tile's pre-images `points`; samples are read at grid
-    indices `at`, or pulled back by `at`, the tile's own stored weights.  The
-    problem's constructor has checked that the field is one of the three kinds."""
-    if isinstance(field, Poly):
-        return np.asarray(field(points), dtype=float)
+    """A constant or sampled field at one tile's pre-images `points`; samples are
+    read at grid indices `at`, or pulled back by `at`, the tile's own stored
+    weights.  Polynomials go through `_horner`."""
     if isinstance(field, GridFunction):
         return at(field.values) if isinstance(at, _Interp) else field.values[at]
     return np.full(len(points), float(field))
@@ -329,10 +327,36 @@ def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan
             ):
                 raise ValueError(f"sampled {name} entries must live on the carrier grid")
         at = idx[rows] if aligned else interp.tile(rows)
+        coeffs = [q[i].coeffs if isinstance(q[i], Poly) else () for q in q_rows]
+        _horner(coeffs, points[rows], q_vals[:, rows])
         for k, q in enumerate(q_rows):
-            q_vals[k, rows] = _field_values(q[i], points[rows], at)
+            if not isinstance(q[i], Poly):
+                q_vals[k, rows] = _field_values(q[i], points[rows], at)
         s_vals[rows] = _field_values(params.s[i], points[rows], at)
     return _Plan(idx if aligned else None, interp, s_vals, q_vals)
+
+
+def _horner(coeffs: Sequence[tuple[float, ...]], x: np.ndarray, out: np.ndarray) -> None:
+    """Row k of `out` becomes the polynomial coeffs[k] at x, bit for bit `Poly(coeffs[k])(x)`.
+
+    Horner over a block of rows at a time, with the coefficients padded by
+    leading zeros to a common degree: np.polyval's steps y = y * x + c from
+    y = +0, where a padded step gives +0 * x + 0 = +0 again.  An empty
+    coefficient tuple gives a row of zeros.
+    """
+    table = np.zeros((len(coeffs), max(map(len, coeffs), default=0)))
+    for row, cs in zip(table, coeffs):
+        row[len(row) - len(cs) :] = cs[::-1]
+    # Blocks of 2^15 values stay in cache: at 512 rows of 1,024 points one block
+    # of all rows ran 20% slower, and Horner in place in `out` 2.3x slower.
+    block = max(1, (1 << 15) // max(len(x), 1))
+    for lo in range(0, len(coeffs), block):
+        rows = table[lo : lo + block]
+        y = np.zeros((len(rows), len(x)))
+        for column in rows.T:
+            y *= x
+            y += column[:, None]
+        out[lo : lo + block] = y
 
 
 def rb_apply(params: RBParams, f: GridFunction) -> GridFunction:

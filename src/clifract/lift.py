@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -345,10 +345,11 @@ def pointwise_product(
     for a in f.masks:
         present[a ^ g_masks] = True
     masks = np.flatnonzero(present)
-    # At M = 4096 and n = 5..9 a pair of rows costs 12-17 us, and the matrix path as
-    # much as about 650 pairs at n = 5, 4,600 at n = 7 and 10,000 at n = 9, at or below
-    # 2 * 2^n * d + 512 (768, 4,608, 16,896).  The matrix path never runs at n <= 4.
-    if len(f.masks) * len(g.masks) >= (2 << f.n) * _rep_dim(f.n) + 512:
+    # At M = 4096 and n = 5..9 a pair of rows costs 10-13 us, and the matrix path, whose
+    # work per point is its 2 d^2 slots, as much as about 450 pairs at n = 5 (d = 4), 950
+    # at n = 6 (d = 8) and 3,700-4,100 at n = 7..9 (d = 16), at or below 8 pairs a slot
+    # plus 512 (768, 1,536, 4,608).  The matrix path never runs at n <= 4.
+    if len(f.masks) * len(g.masks) >= 16 * _rep_dim(f.n) ** 2 + 512:
         out = _matrix_product(f, g, masks)
     else:
         out = _pair_product(f, g, masks)
@@ -377,8 +378,8 @@ def _rep_dim(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rep_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather tables of a faithful representation of Cl(0,n) by complex d x d matrices.
+def _rep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A faithful representation of Cl(0,n) by complex d x d matrices, in factored form.
 
     d = _rep_dim(n).  The Jordan-Wigner generators are e_(2k+1) = i Z..Z X I..I
     and e_(2k+2) = i Z..Z Y I..I, with X or Y on qubit k (bit k of a row index).
@@ -386,47 +387,68 @@ def _rep_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     M_d(C) (P. Lounesto, Clifford Algebras and Spinors, 2001): there e_n is
     i Gamma_(1...n-1), and Gamma_omega = i I.  Gamma_A is the ascending product
     of A's generators, so that Gamma_A Gamma_B = _sign_table(n)[A, B] Gamma_(A^B).
-    Each Gamma_A is a phased permutation: row r holds i^p at column col_A(r), and
-    p has the parity of |A|.  A matrix is stored as 2 d^2 real slots, slot
-    2 (r d + c) + 0 or 1 holding the real or imaginary part of entry (r, c).
+    Each Gamma_A is a phased Pauli string, with one entry per row:
+    Gamma_A[r, r ^ x_A] = i^c_A (-1)^|r & z_A|, and the triples compose as
+    (x, z, c)(x', z', c') = (x ^ x', z ^ z', c + c' + 2 |x & z'|).
 
-    `forward[k, slot]` is the k-th term of that slot in F = sum_A f_A Gamma_A,
-    as an index into the signed source (f_0..f_(2^n-1), -f_0..-f_(2^n-1), 0);
-    the zero pads slots with fewer terms.  `back[r, C]` is the signed slot
-    (slots, then their negatives) that row r adds to Re tr(Gamma_C^H H).
+    So F = sum_A f_A Gamma_A has F[r, r ^ x] = sum_z (-1)^|r & z| v[z, x], with
+    v[z_A, x_A] = i^c_A f_A: blade A fills one real slot of a (z, x, re/im)
+    layout of 2 d^2 slots, slot[A] = 2 (d z_A + x_A) + (c_A & 1), with
+    sign[A] = -1 where c_A >= 2, and no two blades share a slot.  `had` is the
+    d x d Sylvester-Hadamard matrix (-1)^|r & z|, which takes v over z to the
+    (r, x, re/im) layout.  `relayout[k]` is the (r, x, re/im) slot that slot
+    k = 2 (d r + c) + re/im of a complex matrix reads, x = r ^ c; since c = r ^ x,
+    it is its own inverse and also takes a matrix to the (r, x, re/im) layout.
+    Back, tr(Gamma_C^H H) = i^-c_C (had H')[z_C, x_C] for H' = H in that layout,
+    so h_C = Re tr(Gamma_C^H H) / d is sign[C] / d times slot[C] of had H'.
     """
     d = _rep_dim(n)
-    rows = np.arange(d)
-    col = np.empty((1 << n, d), dtype=np.intp)
-    power = np.zeros((1 << n, d), dtype=np.intp)
-    col[0] = rows
+    x, z, c = (np.zeros(1 << n, dtype=np.intp) for _ in range(3))
     for j in range(n):
         qubit = 1 << (j // 2)
-        gen_col = rows ^ qubit
-        gen_power = 1 + 2 * _POPCOUNT[rows & (qubit - 1)]  # i times the Z signs below
-        if j & 1:  # Y: -i on rows with the qubit clear, +i where it is set
-            gen_power += np.where(rows & qubit, 1, 3)
         if qubit == d:  # the last generator at n = 1 mod 4: i Gamma_(1...n-1)
-            gen_col, gen_power = col[(1 << j) - 1], power[(1 << j) - 1] + 1
-        # Gamma_(A + e_j) = Gamma_A e_j for every A below bit j: compose the permutations.
-        below = col[: 1 << j]
-        col[1 << j : 2 << j] = gen_col[below]
-        power[1 << j : 2 << j] = power[: 1 << j] + gen_power[below]
-    power &= 3
-    slots = 2 * d * d
-    slot = 2 * (rows * d + col) + (power & 1)
-    negative = power >= 2
-    back = np.ascontiguousarray((slot + slots * negative).T)
-    source = (np.arange(1 << n)[:, None] + (negative << n)).ravel()
-    slot = slot.ravel()
-    order = np.argsort(slot, kind="stable")
-    counts = np.bincount(slot, minlength=slots)
-    rank = np.arange(slot.size) - (np.cumsum(counts) - counts)[slot[order]]
-    forward = np.full((counts.max(), slots), 2 << n, dtype=np.intp)
-    forward[rank, slot[order]] = source[order]
-    forward.flags.writeable = False
-    back.flags.writeable = False
-    return forward, back
+            top = (1 << j) - 1
+            gen_x, gen_z, gen_c = x[top], z[top], c[top] + 1
+        elif j & 1:  # i Z..Z Y = Z..Z on the qubits below, Z X on this one
+            gen_x, gen_z, gen_c = qubit, 2 * qubit - 1, 0
+        else:
+            gen_x, gen_z, gen_c = qubit, qubit - 1, 1
+        # Gamma_(A + e_j) = Gamma_A e_j for every A below bit j.
+        below = slice(0, 1 << j)
+        x[1 << j : 2 << j] = x[below] ^ gen_x
+        z[1 << j : 2 << j] = z[below] ^ gen_z
+        c[1 << j : 2 << j] = c[below] + gen_c + 2 * _POPCOUNT[x[below] & gen_z]
+    slot = 2 * (d * z + x) + (c & 1)
+    sign = np.where(c & 2, -1.0, 1.0)
+    rows = np.arange(d)
+    had = np.where(_POPCOUNT[rows[:, None] & rows] & 1, -1.0, 1.0)
+    r, col, part = np.unravel_index(np.arange(2 * d * d), (d, d, 2))
+    relayout = 2 * (d * r + (r ^ col)) + part
+    for table in (slot, sign, had, relayout):
+        table.flags.writeable = False
+    return slot, sign, had, relayout
+
+
+def _forward_map(h: CliffordGridFunction) -> Callable[[int, int], np.ndarray]:
+    """lo, hi -> F = sum_A h_A Gamma_A at grid points lo..hi-1, as (hi - lo, d, d) complex matrices.
+
+    Per call: one copy of the block's rows, signed, with a zero row below them for
+    the slots no blade of h fills; one gather of that copy into the (z, x, re/im)
+    slots, one Hadamard matmul over z and one permutation into the matrices.
+    """
+    slot, sign, had, relayout = _rep_tables(h.n)
+    d, masks = len(had), list(h.masks)
+    source = np.full(2 * d * d, len(masks))
+    source[slot[masks]] = np.arange(len(masks))
+    row_signs = sign[masks][:, None]
+
+    def matrices(lo: int, hi: int) -> np.ndarray:
+        rows = np.zeros((len(masks) + 1, hi - lo))
+        np.multiply(h.values[:, lo:hi], row_signs, out=rows[:-1])
+        mixed = had @ rows.take(source, axis=0).reshape(d, -1)
+        return mixed.reshape(-1, hi - lo).T.take(relayout, axis=1).view(np.complex128).reshape(-1, d, d)
+
+    return matrices
 
 
 def _matrix_product(
@@ -434,39 +456,24 @@ def _matrix_product(
 ) -> np.ndarray:
     """The product's rows over `masks`, through d x d matrices at each grid point.
 
-    Per block of points: F and G by signed gathers, one batched matmul, and
-    h_C = Re tr(Gamma_C^H H) / d by signed gathers of H.  No (2^n, d, d) array
-    is ever formed.
+    Per block of points: F and G by `_forward_map`, one batched matmul, then H
+    permuted to the (r, x, re/im) layout, one Hadamard matmul over r and one
+    gather scaled by +-1/d straight into the output.  No (2^n, d, d) array is
+    ever formed.
     """
-    forward, back = _rep_tables(f.n)
-    d = back.shape[0]
-    back = back[:, masks]
-    size = 1 << f.n
+    slot, sign, had, relayout = _rep_tables(f.n)
+    d = len(had)
+    back, scale = slot[masks], (sign[masks] / d)[:, None]
     total = f.grid_m + 1
-    factors = [(np.array(h.masks, dtype=np.intp), h.values) for h in (f, g)]
-    # 2^14 matrix entries a block was fastest at n = 3..9; each transient stays under 1 MB.
+    forward_f, forward_g = _forward_map(f), _forward_map(g)
+    # 2^14 matrix entries a block was fastest at n = 9; each transient stays under 1 MB.
     block = max(1, (1 << 14) // (d * d))
     out = np.empty((len(masks), total))
     for lo in range(0, total, block):
         hi = min(lo + block, total)
-        mats = []
-        for rows, values in factors:
-            src = np.zeros((2 * size + 1, hi - lo))
-            src[rows] = values[:, lo:hi]
-            src[rows + size] = -values[:, lo:hi]
-            acc = src.take(forward[0], axis=0)
-            for terms in forward[1:]:
-                acc += src.take(terms, axis=0)
-            mats.append(np.ascontiguousarray(acc.T).view(np.complex128).reshape(-1, d, d))
-        prod = np.empty((hi - lo, 2, d, d), dtype=np.complex128)
-        np.matmul(mats[0], mats[1], out=prod[:, 0])
-        np.negative(prod[:, 0], out=prod[:, 1])
-        signed = np.ascontiguousarray(prod.reshape(hi - lo, -1).view(np.float64).T)
-        acc = signed.take(back[0], axis=0)
-        for terms in back[1:]:
-            acc += signed.take(terms, axis=0)
-        out[:, lo:hi] = acc
-    out *= 1.0 / d
+        prod = np.matmul(forward_f(lo, hi), forward_g(lo, hi))
+        mixed = had @ prod.reshape(hi - lo, -1).view(np.float64).T.take(relayout, axis=0).reshape(d, -1)
+        np.multiply(mixed.reshape(-1, hi - lo)[back], scale, out=out[:, lo:hi])
     return out
 
 

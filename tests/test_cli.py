@@ -758,6 +758,26 @@ def test_eval_refuses_a_body_past_the_cell_bound(tmp_path, monkeypatch, fast):
     assert [len(matrix) for matrix in read] == ([] if fast else [50, 50, 11])
 
 
+def test_eval_bounds_the_rows_it_reads_by_the_wider_of_header_and_body(tmp_path, monkeypatch):
+    # np.loadtxt sizes its rows by the first body row: six cells under an x,value header
+    # must bound the read at one row past 4 cells, not at 4 // 2 + 1 rows of six.
+    solution = tmp_path / "solution.csv"
+    solution.write_bytes(b"x,value\r\n\r\n" + b"".join(b"%d,1,2,3,4,5\r\n" % k for k in range(10)))
+    loadtxt, read = np.loadtxt, []
+
+    def recording(*args, **kwargs):
+        read.append(loadtxt(*args, **kwargs))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "_EXTENDED", False)  # the numpy parser counts cells before it reads
+    monkeypatch.setattr(np, "loadtxt", recording)
+    monkeypatch.setattr(cli, "_MAX_BODY_CELLS", 4)
+    assert _run(["eval", str(solution), "--at", "0.5"]) == (
+        2, "", "config error: <solution>: more than 4 cells, the most a solve output holds\n"
+    )
+    assert [matrix.shape for matrix in read] == [(1, 6)]
+
+
 # ---------------------------------------------------------------------------
 # the config boundary
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from clifract import (
     rb_apply,
     uniform_partition,
 )
-from clifract.engine import _Interp, _build_plan
+from clifract.engine import _Interp, _build_plan, _owned_ranges
 
 from oracles import address_psi, dense_operator, trapezoid_lp
 
@@ -179,6 +179,42 @@ def test_rb_apply_matches_a_per_tile_operator(part, m, aligned, sampled):
     f = GridFunction.sample(part, m, lambda x: np.sin(7.0 * x) + x**2)
     assert (_build_plan(params, m, (params.q,)).pre_idx is not None) == aligned
     assert np.array_equal(rb_apply(params, f).values, _per_tile_apply(params, f, aligned))
+
+
+@pytest.mark.parametrize(
+    "part, m, aligned",
+    [(uniform_partition(-2.0, 1.0, 3), 96, True), (from_knots([-1.5, -0.2, 0.4, 1.0]), 100, False)],
+    ids=["aligned", "interpolating"],
+)
+def test_plan_evaluates_each_poly_bitwise_as_its_own_call(part, m, aligned, rng):
+    # The plan evaluates a tile's polynomials in one padded Horner pass; each row must
+    # keep the bits of Poly.__call__, signed zeros included, at negative x too.
+    def random_poly():
+        cs = rng.standard_normal(rng.integers(1, 7))  # degrees 0-5
+        cs[rng.random(len(cs)) < 0.25] = 0.0
+        cs[rng.random(len(cs)) < 0.25] = -0.0
+        return Poly(tuple(cs))
+
+    fixed = [Poly((-0.0,)), Poly((-0.0, -0.0, 0.0)), Poly((-0.0,) * 6), Poly((0.0,) * 5 + (1.0,))]
+    q_rows = [(poly,) * part.size for poly in fixed] + [
+        tuple(random_poly() if rng.random() < 0.8 else -0.5 for _ in range(part.size)) for _ in range(40)
+    ]
+    params = RBParams(part, q_rows[0], (0.25,) * part.size)
+    plan = _build_plan(params, m, q_rows)
+    assert (plan.pre_idx is not None) == aligned
+    xs = GridFunction.zeros(part, m).xs
+    h = part.span / m
+    negative_zeros = 0
+    # The plan's ownership: a grid point within rounding of a knot belongs to the left tile.
+    for i, (amap, rows) in enumerate(zip(part.maps, _owned_ranges(part, m, h))):
+        pre = amap.inverse(xs[rows])
+        points = xs[np.rint((pre - part.x_lo) / h).astype(np.int64)] if aligned else pre
+        for k, q in enumerate(q_rows):
+            got = plan.q_vals[k, rows]
+            want = q[i](points) if isinstance(q[i], Poly) else np.full(len(points), q[i])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (i, k)
+            negative_zeros += int(np.sum((got == 0) & np.signbit(got)))
+    assert negative_zeros > 0 and np.any(xs < 0)
 
 
 def test_interpolation_mode_bias_is_second_order():

@@ -581,16 +581,17 @@ def test_product_requires_matching_grids():
 
 
 def gamma_matrix(n, mask):
-    """Gamma_mask as a dense complex matrix, read from the back table."""
-    _, back = lift._rep_tables(n)
-    d = back.shape[0]
-    signed = back[:, mask]
-    slots = 2 * d * d
-    slot = signed % slots
-    entry, imaginary = slot // 2, slot % 2
-    assert np.array_equal(entry // d, np.arange(d))  # one entry per row
+    """Gamma_mask as a dense complex matrix, read from its slot and sign: the entry in
+    row r sits in column r ^ x and is sign * (1 or i) * (-1)^|r & z|."""
+    slot, sign, had, _ = lift._rep_tables(n)
+    d = len(had)
+    z, rest = divmod(int(slot[mask]), 2 * d)
+    x, imaginary = divmod(rest, 2)
+    assert 0 <= z < d and 0 <= x < d  # one entry per row
+    rows = np.arange(d)
+    parity = np.array([bin(r & z).count("1") % 2 for r in range(d)])
     matrix = np.zeros((d, d), dtype=complex)
-    matrix[entry // d, entry % d] = np.where(signed >= slots, -1, 1) * np.where(imaginary, 1j, 1)
+    matrix[rows, rows ^ x] = sign[mask] * (1j if imaginary else 1) * np.where(parity, -1, 1)
     return matrix
 
 
@@ -605,7 +606,7 @@ def mask_pairs(n, rng):
 def test_representation_matches_the_sign_oracle(n, rng):
     gamma = functools.cache(lambda mask: gamma_matrix(n, mask))
     pairs = mask_pairs(n, rng)
-    d = lift._rep_tables(n)[1].shape[0]
+    d = len(lift._rep_tables(n)[2])
     omega = (1 << n) - 1
     assert np.array_equal(gamma(0), np.eye(d))
     for a, b in pairs:
@@ -622,24 +623,6 @@ def test_representation_matches_the_sign_oracle(n, rng):
         assert any(np.array_equal(gamma(omega), phase * np.eye(d)) for phase in (1j, -1j))
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9, 12])
-def test_forward_table_lists_the_entries_of_the_back_table(n):
-    forward, back = lift._rep_tables(n)
-    size, d = 1 << n, back.shape[0]
-    slots = 2 * d * d
-    # back[r, A] is the signed slot of Gamma_A's entry in row r; forward lists
-    # the signed blades per slot, padded with the zero source 2 * 2^n.
-    from_back = sorted(
-        (int(signed % slots), int(mask + size * (signed >= slots)))
-        for mask in range(size) for signed in back[:, mask]
-    )
-    from_forward = sorted(
-        (slot, int(source))
-        for slot in range(slots) for source in forward[:, slot] if source != 2 * size
-    )
-    assert from_back == from_forward
-
-
 def random_function(n, grid_m, masks, rng):
     part = uniform_partition(0.0, 1.0, 2)
     values = rng.standard_normal((len(masks), grid_m + 1)) * rng.uniform(0.5, 20.0)
@@ -648,7 +631,25 @@ def random_function(n, grid_m, masks, rng):
     )
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9, 12])
+def test_factored_forward_map_is_the_dense_sum(n, rng):
+    slot, sign, had, relayout = lift._rep_tables(n)
+    size, d = 1 << n, len(had)
+    assert len(set(slot.tolist())) == size  # no two blades share a slot
+    assert np.array_equal(relayout[relayout], np.arange(2 * d * d))  # there and back
+    masks = np.arange(size) if n <= 9 else np.unique(rng.choice(size, 300).tolist() + [0, size - 1])
+    f = random_function(n, 4, masks, rng)
+    gammas = [gamma_matrix(n, mask) for mask in masks]
+    # Points 1..3 of the grid, so that the block offset is read too.
+    factored = lift._forward_map(f)(1, 4)
+    assert factored.shape == (3, d, d)
+    bound = 1e-13 * len(masks) * np.max(np.abs(f.values))
+    for point, matrix in zip(range(1, 4), factored):
+        dense = sum(value * gamma for value, gamma in zip(f.values[:, point], gammas))
+        assert np.max(np.abs(matrix - dense)) <= bound, point
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7, 8, 9])
 @pytest.mark.parametrize("support", ["full", "sparse"])
 def test_matrix_path_agrees_with_the_pair_loop(n, support, rng):
     size = 1 << n
