@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import blade_key
 from .config import MAX_GRID_CELLS, ConfigError, ProblemSetup, build_problem, load_config
-from .engine import ConvergenceError, SpaceSpec, _grid_points, empirical_gamma, gamma_gate
+from .engine import ConvergenceError, SpaceSpec, empirical_gamma, gamma_gate
 from .lift import clifford_empirical_gamma, clifford_fixed_point, residual
 
 __all__ = ["main"]
@@ -182,7 +182,7 @@ def _cmd_solve(args) -> int:
     columns = [rows.get(mask, zero) for mask in range(1 << psi.n)]
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_solution(out_path, fmt, _grid_points(psi.partition, psi.grid_m), names, columns)
+        _write_solution(out_path, fmt, psi.partition.grid(psi.grid_m), names, columns)
     except OSError as exc:
         raise ConfigError("output", f"cannot write {out_path}: {exc}") from exc
 
@@ -386,11 +386,7 @@ def _report_spaces(space: SpaceSpec) -> list[SpaceSpec]:
 
 
 def _space_label(space: SpaceSpec) -> str:
-    parts = [
-        f"{name}={getattr(space, name)}"
-        for name in ("k", "alpha", "p", "q", "s")
-        if getattr(space, name) is not None
-    ]
+    parts = [f"{name}={value}" for name, value in space.indices().items()]
     return f"{space.tag}({', '.join(parts)})"
 
 
@@ -685,12 +681,15 @@ def _cmd_eval(args) -> int:
     if not math.isfinite(hi - lo):
         raise ConfigError("<solution>", f"column 'x' spans [{lo:g}, {hi:g}], past the float range")
 
+    for x in points:
+        if not lo <= x <= hi:
+            domain = f"[{_fmt(lo)}, {_fmt(hi)}]"
+            print(f"config error: x = {_fmt(x)} outside the domain {domain}", file=sys.stderr)
+            return EXIT_CONFIG
+
     writer = csv.writer(sys.stdout)
     writer.writerow(["x"] + names + ["source"])
     for x in points:
-        if not lo <= x <= hi:
-            print(f"config error: x = {x:g} outside the domain [{lo:g}, {hi:g}]", file=sys.stderr)
-            return EXIT_CONFIG
         # xs[right - 1] < x <= xs[right], since xs increases and lo <= x <= hi.
         right = int(np.searchsorted(xs, x))
         if x == xs[right]:

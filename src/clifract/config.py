@@ -24,7 +24,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .algebra import MAX_DIMENSION, TEXT_FORM_MAX, parse_blade_key
-from .engine import Field, GridFunction, Poly, SpaceSpec
+from .engine import SPACE_INDICES, Field, GridFunction, Poly, SpaceSpec
 from .lift import CliffordRBParams, clifford_fif_from_data
 from .partition import AffinePartition, from_knots, uniform_partition
 
@@ -54,6 +54,14 @@ _TOP_LEVEL_KEYS = {
     "space",
     "output",
 }
+
+# Optional numeric fields: key, type, the test a value must pass, and the message if it fails.
+_OPTIONAL_NUMBERS = (
+    ("tol", float, lambda v: v > 0, "must be positive"),
+    ("max_iter", int, lambda v: v >= 1, "must be at least 1"),
+    ("seed", int, lambda v: v >= 0, "must be non-negative"),
+    ("trials", int, lambda v: v >= 1, "must be at least 1"),
+)
 
 
 class ConfigError(ValueError):
@@ -139,7 +147,7 @@ class ProblemConfig:
             max_iter=self.max_iter,
             seed=self.seed,
             trials=self.trials,
-            space=_space_to_dict(self.space),
+            space={"tag": self.space.tag, **self.space.indices()},
         )
         if self.output is not None:
             data["output"] = self.output
@@ -198,26 +206,23 @@ class ProblemConfig:
 
         s_spec = _parse_s_spec(_require(data, "s", list), n_maps, fif=has_fif)
 
-        tol = _require(data, "tol", float) if "tol" in data else 1e-10
-        if not tol > 0:
-            raise ConfigError("tol", "must be positive")
-        max_iter = _require(data, "max_iter", int) if "max_iter" in data else 1000
-        if max_iter < 1:
-            raise ConfigError("max_iter", "must be at least 1")
-        seed = _require(data, "seed", int) if "seed" in data else 0
-        if seed < 0:
-            raise ConfigError("seed", "must be non-negative")
-        trials = _require(data, "trials", int) if "trials" in data else 32
-        if trials < 1:
-            raise ConfigError("trials", "must be at least 1")
+        # Optional fields pass only when given, so the dataclass states each default once.
+        given: dict[str, Any] = {}
+        for key, kind, ok, rule in _OPTIONAL_NUMBERS:
+            if key in data:
+                given[key] = _require(data, key, kind)
+                if not ok(given[key]):
+                    raise ConfigError(key, rule)
+        trials = given.get("trials", cls.trials)
         if trials * (grid_m + 1) > MAX_PROBE_SAMPLES:
             raise ConfigError(
                 "trials",
                 f"trials * (grid_M + 1) = {trials * (grid_m + 1)} probe samples exceed "
                 f"the bound {MAX_PROBE_SAMPLES}",
             )
-        space = _parse_space(data["space"]) if "space" in data else SpaceSpec.ck(0)
-        output = _parse_output(data["output"]) if "output" in data else None
+        for key, parse in (("space", _parse_space), ("output", _parse_output)):
+            if key in data:
+                given[key] = parse(data[key])
 
         return cls(
             n=n,
@@ -226,12 +231,7 @@ class ProblemConfig:
             partition=partition_spec,
             q=tuple(q_spec) if q_spec is not None else None,
             fif=fif_spec,
-            tol=tol,
-            max_iter=max_iter,
-            seed=seed,
-            trials=trials,
-            space=space,
-            output=output,
+            **given,
         )
 
 
@@ -364,26 +364,17 @@ def _parse_space(spec: Any) -> SpaceSpec:
         raise ConfigError("space", "expected an object with a 'tag'")
     tag = _require(spec, "tag", str, "space")
     kwargs = {}
-    for name in ("k", "alpha", "p", "q", "s"):
+    for name in SPACE_INDICES:
         if name in spec:
             _number(spec[name], f"space.{name}")
             kwargs[name] = spec[name]  # as given, so an integer index prints as one
-    unknown = set(spec) - {"tag", "k", "alpha", "p", "q", "s"}
+    unknown = set(spec) - {"tag", *SPACE_INDICES}
     if unknown:
         raise ConfigError(f"space.{sorted(unknown)[0]}", "unknown field")
     try:
         return SpaceSpec(tag, **kwargs)
     except ValueError as exc:
         raise ConfigError("space", str(exc)) from exc
-
-
-def _space_to_dict(space: SpaceSpec) -> dict:
-    out: dict[str, Any] = {"tag": space.tag}
-    for name in ("k", "alpha", "p", "q", "s"):
-        value = getattr(space, name)
-        if value is not None:
-            out[name] = value
-    return out
 
 
 def _parse_output(spec: Any) -> dict:

@@ -24,7 +24,7 @@ certificates; the solvers do not read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -91,7 +91,7 @@ class Poly:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real function sampled at x_j = x_lo + j*(x_hi - x_lo)/M, j = 0..M."""
+    """Real function sampled on partition.grid(M) = linspace(x_lo, x_hi, M + 1), ending at x_hi."""
 
     partition: AffinePartition
     values: np.ndarray
@@ -115,7 +115,7 @@ class GridFunction:
 
     @property
     def xs(self) -> np.ndarray:
-        return _grid_points(self.partition, self.grid_m)
+        return self.partition.grid(self.grid_m)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -140,12 +140,7 @@ class GridFunction:
     def sample(
         cls, partition: AffinePartition, grid_m: int, fn: Callable[[np.ndarray], np.ndarray]
     ) -> "GridFunction":
-        return cls(partition, np.asarray(fn(_grid_points(partition, grid_m)), dtype=float))
-
-
-def _grid_points(partition: AffinePartition, grid_m: int) -> np.ndarray:
-    h = partition.span / grid_m
-    return partition.x_lo + h * np.arange(grid_m + 1)
+        return cls(partition, np.asarray(fn(partition.grid(grid_m)), dtype=float))
 
 
 # A q_i or s_i entry: a constant, a polynomial, or samples on the carrier grid.
@@ -285,18 +280,6 @@ class _Plan:
         return pulled
 
 
-def _owned_ranges(partition: AffinePartition, grid_m: int, h: float) -> list[slice]:
-    """Grid-index ranges per tile under the left-ownership junction rule."""
-    ends = []
-    for knot in partition.knots[1:-1]:
-        g = (knot - partition.x_lo) / h
-        nearest = round(g)
-        ends.append(nearest if abs(g - nearest) < _ALIGN_ATOL else math.floor(g))
-    ends.append(grid_m)
-    starts = [0] + [e + 1 for e in ends[:-1]]
-    return [slice(lo, hi + 1) for lo, hi in zip(starts, ends)]
-
-
 def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan:
     """Plan for `params` (anything exposing `partition` and `s`) with one row per q.
 
@@ -305,11 +288,9 @@ def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan
     when every pre-image lands on the grid and interpolates otherwise.
     """
     partition = params.partition
-    if grid_m < partition.size:
-        raise ValueError(f"grid must have M >= N intervals: M={grid_m} < N={partition.size}")
+    xs = partition.grid(grid_m)
     h = partition.span / grid_m
-    xs = _grid_points(partition, grid_m)
-    ranges = _owned_ranges(partition, grid_m, h)
+    ranges = partition.tile_ranges(xs)
 
     pre_x = np.concatenate([amap.inverse(xs[rows]) for amap, rows in zip(partition.maps, ranges)])
     t = (pre_x - partition.x_lo) / h
@@ -363,7 +344,7 @@ def rb_apply(params: RBParams, f: GridFunction) -> GridFunction:
     """One application of the operator on f's grid.
 
     Every grid point y in tile i receives q_i(x) + s_i(x) f(x) with
-    x = L_i^-1(y); junction points follow the left-ownership rule.
+    x = L_i^-1(y); junction points follow the junction rule of `AffinePartition.locate`.
     """
     if f.partition != params.partition:
         raise ValueError("f is sampled on a different partition")
@@ -702,6 +683,15 @@ class SpaceSpec:
     @classmethod
     def triebel_lizorkin(cls, s: float, p: float, q: float) -> "SpaceSpec":
         return cls("Fspq", s=s, p=p, q=q)
+
+    def indices(self) -> dict[str, float]:
+        """The indices this space sets, by name, in field order."""
+        values = {name: getattr(self, name) for name in SPACE_INDICES}
+        return {name: value for name, value in values.items() if value is not None}
+
+
+# The index fields of SpaceSpec, the names its config object uses beside "tag".
+SPACE_INDICES = tuple(f.name for f in fields(SpaceSpec) if f.name != "tag")
 
 
 def gamma_gate(space: SpaceSpec, params) -> float:

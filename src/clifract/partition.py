@@ -2,9 +2,9 @@
 
 A partition consists of maps L_i(x) = a_i x + b_i with 0 < |a_i| < 1 whose
 images have pairwise disjoint interiors and whose closures cover the whole
-interval X.  Junction ownership is fixed globally: a subinterval owns its
-right endpoint and the last one also owns the left domain endpoint's
-counterpart x_hi, so piecewise definitions over the tiles are single-valued.
+interval X.  The partition also owns the carrier grid and the one junction
+rule, stated at `locate`, for points and grid points alike, so piecewise
+definitions over the tiles are single-valued.
 """
 
 from __future__ import annotations
@@ -115,18 +115,36 @@ class AffinePartition:
     def max_lip(self) -> float:
         return max(m.lip for m in self.maps)
 
-    def locate(self, x):
-        """0-based index of the subinterval owning x.
+    def _junction_ends(self) -> np.ndarray:
+        """Interior junctions plus the tiling slack: the last points their left tiles own."""
+        return np.asarray(self.knots[1:-1]) + _TILE_RTOL * self.span
 
-        Junctions belong to the left subinterval and x_hi to the last one.
-        Accepts scalars or arrays; raises on points outside [x_lo, x_hi].
-        """
+    def locate(self, x):
+        """0-based index of the subinterval owning x: a junction, and any point past
+        it by at most the tiling slack 1e-9 * (x_hi - x_lo), belongs to the left one,
+        and x_hi to the last.  Accepts scalars or arrays; raises outside [x_lo, x_hi]."""
         arr = np.asarray(x, dtype=float)
         if np.any(arr < self.x_lo) or np.any(arr > self.x_hi):
             raise ValueError(f"point outside the interval [{self.x_lo}, {self.x_hi}]")
-        interior = np.asarray(self.knots[1:-1])
-        idx = np.searchsorted(interior, arr, side="left")
+        idx = np.searchsorted(self._junction_ends(), arr, side="left")
         return int(idx) if np.ndim(x) == 0 else idx
+
+    def grid(self, grid_m: int) -> np.ndarray:
+        """The carrier grid linspace(x_lo, x_hi, M + 1), M >= N, bit for bit: point
+        j < M is x_lo + j * ((x_hi - x_lo) / M), and the last point is x_hi itself."""
+        if grid_m < self.size:
+            raise ValueError(f"grid must have M >= N intervals: M={grid_m} < N={self.size}")
+        # linspace's steps, out of place: after np.linspace, which frees no temporary, the first
+        # interpolating solve at 2^16 ran 10% slower (glibc's mmap threshold stayed low).
+        xs = self.x_lo + (self.span / grid_m) * np.arange(grid_m + 1)
+        xs[-1] = self.x_hi
+        return xs
+
+    def tile_ranges(self, xs: np.ndarray) -> list[slice]:
+        """Per tile, the slice of increasing points `xs` (a grid) that it owns under
+        `locate`'s rule; searches the N - 1 junctions in `xs`, with no per-point array."""
+        bounds = [0, *np.searchsorted(xs, self._junction_ends(), side="right").tolist(), len(xs)]
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def subinterval(self, i: int) -> tuple[float, float]:
         return self.knots[i], self.knots[i + 1]

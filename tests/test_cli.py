@@ -250,6 +250,35 @@ def test_eval_out_of_domain_exits_2(tmp_path, capsys):
     assert "outside the domain" in capsys.readouterr().err
 
 
+def test_eval_at_the_end_of_a_domain_that_no_grid_step_reaches(tmp_path, capsys):
+    # -2 + (3.3 / 6) * 6 rounds to 1.2999999999999998; the grid must still end at x_hi itself.
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "n": 0,
+            "grid_M": 6,
+            "partition": {"interval": [-2.0, 1.3], "N": 2},
+            "q": [1.0, 2.0],
+            "s": [0.3, 0.3],
+        },
+    )
+    out = tmp_path / "solution.csv"
+    assert main(["solve", str(cfg), "--output", str(out), "--quiet"]) == 0
+    assert read_csv(out)[1][-1][0] == 1.3
+    assert main(["eval", str(out), "--at", "1.3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == "grid"
+
+
+def test_eval_out_of_domain_prints_no_rows_and_exact_ends(tmp_path, capsys):
+    solution = tmp_path / "short.csv"
+    solution.write_text("x,value\r\n-2,0\r\n1.2999999999999998,1\r\n")
+    assert main(["eval", str(solution), "--at", "0,1.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: x = 1.3 outside the domain [-2, 1.2999999999999998]\n"
+
+
 def test_eval_reads_json_solutions(tmp_path, capsys):
     cfg = write_config(tmp_path, CONSTANT_CONFIG)
     out = tmp_path / "solution.json"

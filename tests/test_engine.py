@@ -21,7 +21,7 @@ from clifract import (
     rb_apply,
     uniform_partition,
 )
-from clifract.engine import _Interp, _build_plan, _owned_ranges
+from clifract.engine import _Interp, _build_plan
 
 from oracles import address_psi, dense_operator, trapezoid_lp
 
@@ -205,8 +205,8 @@ def test_plan_evaluates_each_poly_bitwise_as_its_own_call(part, m, aligned, rng)
     xs = GridFunction.zeros(part, m).xs
     h = part.span / m
     negative_zeros = 0
-    # The plan's ownership: a grid point within rounding of a knot belongs to the left tile.
-    for i, (amap, rows) in enumerate(zip(part.maps, _owned_ranges(part, m, h))):
+    # The partition's ownership: a grid point within the tiling slack of a knot belongs to the left tile.
+    for i, (amap, rows) in enumerate(zip(part.maps, part.tile_ranges(xs))):
         pre = amap.inverse(xs[rows])
         points = xs[np.rint((pre - part.x_lo) / h).astype(np.int64)] if aligned else pre
         for k, q in enumerate(q_rows):
@@ -450,6 +450,53 @@ def test_interpolating_certificate_from_a_power_of_t_holds_against_a_dense_solve
     exact = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
     result = fixed_point(params, grid_m, tol=tol)
     assert np.max(np.abs(result.function.values - exact)) <= result.error_bound <= tol
+
+
+@pytest.mark.parametrize(
+    "part, grid_m",
+    [
+        (uniform_partition(0.0, 1.0, 3), 99),
+        (from_knots([-1.5, -0.2, 0.4, 1.0]), 100),
+        (uniform_partition(-2.0, 1.3, 5), 55),
+    ],
+    ids=["thirds-99", "knots-100", "fifths-55"],
+)
+def test_discontinuous_solve_matches_the_dense_operator(part, grid_m):
+    # q_i = i jumps at every junction, so a grid point that the solver and `locate`
+    # give to different tiles moves psi there by at least 1.
+    n = part.size
+    params = RBParams(part, tuple(float(i) for i in range(n)), (0.5,) * n)
+    matrix, rhs = dense_operator(params, grid_m)
+    assert np.array_equal(_build_plan(params, grid_m, (params.q,)).q_vals[0], rhs)
+    exact = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
+    result = fixed_point(params, grid_m, tol=1e-13)
+    assert np.max(np.abs(result.function.values - exact)) <= 1e-12
+
+
+def _sweep_grids():
+    for lo, hi in [(0.0, 1.0), (-2.0, 1.3)]:
+        for n in (2, 3, 5, 7):
+            for k in (3, 7, 11, 33, 99, 1000):
+                yield pytest.param(uniform_partition(lo, hi, n), n * k, id=f"[{lo},{hi}]/{n}-M{n * k}")
+    for knots in ([0, 0.3, 0.7, 1], [0, 0.1, 0.2, 0.6, 1], [-1, -0.35, 0.15, 2.2], [-1.5, -0.2, 0.4, 1]):
+        for m in (10, 20, 30, 100, 1000, 4096, 65536):
+            yield pytest.param(from_knots(knots), m, id=f"knots{knots}-M{m}")
+
+
+@pytest.mark.parametrize("part, grid_m", list(_sweep_grids()))
+def test_plan_grid_and_tiles_follow_the_partition(part, grid_m):
+    xs = part.grid(grid_m)
+    tiles = part.locate(xs)
+    # With q_i = i, the plan's q row names the tile it gave each grid index.
+    params = RBParams(part, tuple(float(i) for i in range(part.size)), (0.5,) * part.size)
+    assert np.array_equal(_build_plan(params, grid_m, (params.q,)).q_vals[0], tiles)
+    ranges = part.tile_ranges(xs)
+    assert np.array_equal(np.repeat(np.arange(part.size), [r.stop - r.start for r in ranges]), tiles)
+    # The plain step formula x_lo + j * h is the referee for the interior of the grid.
+    h = part.span / grid_m
+    assert (part.x_lo + h * np.arange(grid_m + 1))[:-1].tobytes() == xs[:-1].tobytes()
+    assert xs[-1] == part.x_hi
+    assert np.linspace(part.x_lo, part.x_hi, grid_m + 1).tobytes() == xs.tobytes()
 
 
 def test_fixed_point_satisfies_equation_and_matches_recursion_oracle():

@@ -90,6 +90,21 @@ def test_locate_array_and_domain_check():
         part.locate(-0.1)
 
 
+def test_locate_gives_points_within_the_slack_past_a_junction_to_the_left():
+    part = uniform_partition(0.0, 2.0, 4)  # slack 2e-9
+    np.testing.assert_array_equal(part.locate([0.5, 0.5 + 1e-9, 0.5 + 1e-8, 2.0]), [0, 0, 1, 3])
+
+
+def test_grid_ends_at_x_hi_and_tile_ranges_follow_locate():
+    part = from_knots([-2.0, -1.0, 1.3])
+    xs = part.grid(6)
+    assert xs[0] == -2.0 and xs[-1] == 1.3 and len(xs) == 7
+    assert part.tile_ranges(xs) == [slice(0, 2), slice(2, 7)]
+    np.testing.assert_array_equal(part.locate(xs), [0, 0, 1, 1, 1, 1, 1])
+    with pytest.raises(ValueError, match="M >= N"):
+        part.grid(1)
+
+
 def test_locate_after_applying_map_returns_its_index():
     part = from_knots([0.0, 0.3, 0.7, 1.0])
     for i, m in enumerate(part.maps):
