@@ -679,7 +679,7 @@ def _cmd_eval(args) -> int:
     lo, hi = float(xs[0]), float(xs[-1])
     # Past this, the widths and offsets of the interpolation overflow.
     if not math.isfinite(hi - lo):
-        raise ConfigError("<solution>", f"column 'x' spans [{lo:g}, {hi:g}], past the float range")
+        raise ConfigError("<solution>", f"column 'x' spans [{_fmt(lo)}, {_fmt(hi)}], past the float range")
 
     for x in points:
         if not lo <= x <= hi:

@@ -100,10 +100,7 @@ class GridFunction:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1 or len(arr) < 2:
             raise ValueError("values must be a one-dimensional array of length M+1 >= 2")
-        if len(arr) - 1 < self.partition.size:
-            raise ValueError(
-                f"grid must have M >= N intervals: M={len(arr) - 1} < N={self.partition.size}"
-            )
+        self.partition._check_grid(len(arr) - 1)
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid values must be finite")
         arr.flags.writeable = False

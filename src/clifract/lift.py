@@ -11,28 +11,25 @@ and one plan application acts on the whole stack.  The contraction factor
 is the scalar one.
 
 Pointwise algebra (products, conjugation, paravector restriction) acts on
-the stacked rows grid point by grid point.  Products of large supports go
-through a faithful representation of the algebra by complex d x d matrices,
-d = 2^((n-1)/2) at n = 1 mod 4, where Cl(0,n) = M_d(C), and 2^ceil(n/2) else.
+the stacked rows grid point by grid point; products run the algebra module's
+kernel on the whole stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .algebra import (
-    _POPCOUNT,
     Multivector,
     _check_dimension,
     _check_mask,
     _conj_signs,
-    _sign_table,
+    _stack_product,
     blade_grade,
     blade_key,
     parse_blade_key,
@@ -334,147 +331,13 @@ def pointwise_product(
 ) -> CliffordGridFunction:
     """Grid-pointwise algebra product; the result is again algebra-valued.
 
-    Small supports multiply pairs of rows: exact, in a fixed order, and a
-    -0.0 first term stays -0.0.  Large ones go through the matrix
-    representation, which agrees with the pair loop to within
-    1e-12 * 2^n * max|f| * max|g| and does not keep the sign of a zero.
+    The stored rows of f and g are multiplied at every grid point by the
+    kernel behind mv_mul, so small supports are exact and large ones agree
+    with the exact pair loop to within 1e-12 * 2^n * max|f| * max|g|.
     """
     f._check_compatible(g)
-    g_masks = np.array(g.masks, dtype=np.intp)
-    present = np.zeros(1 << f.n, dtype=bool)
-    for a in f.masks:
-        present[a ^ g_masks] = True
-    masks = np.flatnonzero(present)
-    # At M = 4096 and n = 5..9 a pair of rows costs 10-13 us, and the matrix path, whose
-    # work per point is its 2 d^2 slots, as much as about 450 pairs at n = 5 (d = 4), 950
-    # at n = 6 (d = 8) and 3,700-4,100 at n = 7..9 (d = 16), at or below 8 pairs a slot
-    # plus 512 (768, 1,536, 4,608).  The matrix path never runs at n <= 4.
-    if len(f.masks) * len(g.masks) >= 16 * _rep_dim(f.n) ** 2 + 512:
-        out = _matrix_product(f, g, masks)
-    else:
-        out = _pair_product(f, g, masks)
-    return f._from_stack(f.n, f.partition, f.grid_m, masks.tolist(), out)
-
-
-def _pair_product(
-    f: CliffordGridFunction, g: CliffordGridFunction, masks: np.ndarray
-) -> np.ndarray:
-    """The product's rows over `masks`, summed one pair of rows at a time."""
-    signs = _sign_table(f.n)
-    row_of = {mask: row for row, mask in enumerate(masks.tolist())}
-    # -0.0 + x is x for every x, so each row starts as its first term, sign bit included.
-    out = np.full((len(masks), f.grid_m + 1), -0.0)
-    # One pair of rows at a time: at n = 9 and M = 4096, scattering each row of f
-    # against all of g at once gave the same bits in 13.5 s against 4.1 s.
-    for a, fa in zip(f.masks, f.values):
-        for b, gb in zip(g.masks, g.values):
-            out[row_of[a ^ b]] += signs[a, b] * fa * gb
-    return out
-
-
-def _rep_dim(n: int) -> int:
-    """The matrix size d: 2^((n-1)/2) at n = 1 mod 4, else 2^ceil(n/2)."""
-    return 1 << (n // 2 if n % 4 == 1 else (n + 1) // 2)
-
-
-@lru_cache(maxsize=None)
-def _rep_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A faithful representation of Cl(0,n) by complex d x d matrices, in factored form.
-
-    d = _rep_dim(n).  The Jordan-Wigner generators are e_(2k+1) = i Z..Z X I..I
-    and e_(2k+2) = i Z..Z Y I..I, with X or Y on qubit k (bit k of a row index).
-    At n = 1 mod 4, omega = e1...en is central with omega^2 = -1, so Cl(0,n) is
-    M_d(C) (P. Lounesto, Clifford Algebras and Spinors, 2001): there e_n is
-    i Gamma_(1...n-1), and Gamma_omega = i I.  Gamma_A is the ascending product
-    of A's generators, so that Gamma_A Gamma_B = _sign_table(n)[A, B] Gamma_(A^B).
-    Each Gamma_A is a phased Pauli string, with one entry per row:
-    Gamma_A[r, r ^ x_A] = i^c_A (-1)^|r & z_A|, and the triples compose as
-    (x, z, c)(x', z', c') = (x ^ x', z ^ z', c + c' + 2 |x & z'|).
-
-    So F = sum_A f_A Gamma_A has F[r, r ^ x] = sum_z (-1)^|r & z| v[z, x], with
-    v[z_A, x_A] = i^c_A f_A: blade A fills one real slot of a (z, x, re/im)
-    layout of 2 d^2 slots, slot[A] = 2 (d z_A + x_A) + (c_A & 1), with
-    sign[A] = -1 where c_A >= 2, and no two blades share a slot.  `had` is the
-    d x d Sylvester-Hadamard matrix (-1)^|r & z|, which takes v over z to the
-    (r, x, re/im) layout.  `relayout[k]` is the (r, x, re/im) slot that slot
-    k = 2 (d r + c) + re/im of a complex matrix reads, x = r ^ c; since c = r ^ x,
-    it is its own inverse and also takes a matrix to the (r, x, re/im) layout.
-    Back, tr(Gamma_C^H H) = i^-c_C (had H')[z_C, x_C] for H' = H in that layout,
-    so h_C = Re tr(Gamma_C^H H) / d is sign[C] / d times slot[C] of had H'.
-    """
-    d = _rep_dim(n)
-    x, z, c = (np.zeros(1 << n, dtype=np.intp) for _ in range(3))
-    for j in range(n):
-        qubit = 1 << (j // 2)
-        if qubit == d:  # the last generator at n = 1 mod 4: i Gamma_(1...n-1)
-            top = (1 << j) - 1
-            gen_x, gen_z, gen_c = x[top], z[top], c[top] + 1
-        elif j & 1:  # i Z..Z Y = Z..Z on the qubits below, Z X on this one
-            gen_x, gen_z, gen_c = qubit, 2 * qubit - 1, 0
-        else:
-            gen_x, gen_z, gen_c = qubit, qubit - 1, 1
-        # Gamma_(A + e_j) = Gamma_A e_j for every A below bit j.
-        below = slice(0, 1 << j)
-        x[1 << j : 2 << j] = x[below] ^ gen_x
-        z[1 << j : 2 << j] = z[below] ^ gen_z
-        c[1 << j : 2 << j] = c[below] + gen_c + 2 * _POPCOUNT[x[below] & gen_z]
-    slot = 2 * (d * z + x) + (c & 1)
-    sign = np.where(c & 2, -1.0, 1.0)
-    rows = np.arange(d)
-    had = np.where(_POPCOUNT[rows[:, None] & rows] & 1, -1.0, 1.0)
-    r, col, part = np.unravel_index(np.arange(2 * d * d), (d, d, 2))
-    relayout = 2 * (d * r + (r ^ col)) + part
-    for table in (slot, sign, had, relayout):
-        table.flags.writeable = False
-    return slot, sign, had, relayout
-
-
-def _forward_map(h: CliffordGridFunction) -> Callable[[int, int], np.ndarray]:
-    """lo, hi -> F = sum_A h_A Gamma_A at grid points lo..hi-1, as (hi - lo, d, d) complex matrices.
-
-    Per call: one copy of the block's rows, signed, with a zero row below them for
-    the slots no blade of h fills; one gather of that copy into the (z, x, re/im)
-    slots, one Hadamard matmul over z and one permutation into the matrices.
-    """
-    slot, sign, had, relayout = _rep_tables(h.n)
-    d, masks = len(had), list(h.masks)
-    source = np.full(2 * d * d, len(masks))
-    source[slot[masks]] = np.arange(len(masks))
-    row_signs = sign[masks][:, None]
-
-    def matrices(lo: int, hi: int) -> np.ndarray:
-        rows = np.zeros((len(masks) + 1, hi - lo))
-        np.multiply(h.values[:, lo:hi], row_signs, out=rows[:-1])
-        mixed = had @ rows.take(source, axis=0).reshape(d, -1)
-        return mixed.reshape(-1, hi - lo).T.take(relayout, axis=1).view(np.complex128).reshape(-1, d, d)
-
-    return matrices
-
-
-def _matrix_product(
-    f: CliffordGridFunction, g: CliffordGridFunction, masks: np.ndarray
-) -> np.ndarray:
-    """The product's rows over `masks`, through d x d matrices at each grid point.
-
-    Per block of points: F and G by `_forward_map`, one batched matmul, then H
-    permuted to the (r, x, re/im) layout, one Hadamard matmul over r and one
-    gather scaled by +-1/d straight into the output.  No (2^n, d, d) array is
-    ever formed.
-    """
-    slot, sign, had, relayout = _rep_tables(f.n)
-    d = len(had)
-    back, scale = slot[masks], (sign[masks] / d)[:, None]
-    total = f.grid_m + 1
-    forward_f, forward_g = _forward_map(f), _forward_map(g)
-    # 2^14 matrix entries a block was fastest at n = 9; each transient stays under 1 MB.
-    block = max(1, (1 << 14) // (d * d))
-    out = np.empty((len(masks), total))
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        prod = np.matmul(forward_f(lo, hi), forward_g(lo, hi))
-        mixed = had @ prod.reshape(hi - lo, -1).view(np.float64).T.take(relayout, axis=0).reshape(d, -1)
-        np.multiply(mixed.reshape(-1, hi - lo)[back], scale, out=out[:, lo:hi])
-    return out
+    masks, values = _stack_product(f.n, (f.masks, f.values), (g.masks, g.values))
+    return f._from_stack(f.n, f.partition, f.grid_m, masks.tolist(), values)
 
 
 def pointwise_conj(f: CliffordGridFunction) -> CliffordGridFunction:

@@ -129,11 +129,14 @@ class AffinePartition:
         idx = np.searchsorted(self._junction_ends(), arr, side="left")
         return int(idx) if np.ndim(x) == 0 else idx
 
+    def _check_grid(self, grid_m: int) -> None:
+        if grid_m < self.size:
+            raise ValueError(f"grid must have M >= N intervals: M={grid_m} < N={self.size}")
+
     def grid(self, grid_m: int) -> np.ndarray:
         """The carrier grid linspace(x_lo, x_hi, M + 1), M >= N, bit for bit: point
         j < M is x_lo + j * ((x_hi - x_lo) / M), and the last point is x_hi itself."""
-        if grid_m < self.size:
-            raise ValueError(f"grid must have M >= N intervals: M={grid_m} < N={self.size}")
+        self._check_grid(grid_m)
         # linspace's steps, out of place: after np.linspace, which frees no temporary, the first
         # interpolating solve at 2^16 ran 10% slower (glibc's mmap threshold stayed low).
         xs = self.x_lo + (self.span / grid_m) * np.arange(grid_m + 1)

@@ -98,13 +98,19 @@ def test_anticommutation_of_generators():
         assert mv_mul(basis(1 << i, n), basis(1 << i, n)) == Multivector.scalar(-1.0, n)
 
 
+def test_mv_mul_multiplies_only_the_nonzero_coefficients():
+    # A blade where y is zero adds no inf * 0 = nan term.
+    product = mv_mul(Multivector.scalar(math.inf, 2), basis(0b01, 2))
+    assert np.array_equal(product.coeffs, [0.0, math.inf, 0.0, 0.0])
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         mv_mul(Multivector.scalar(1.0, 2), Multivector.scalar(1.0, 3))
 
 
-def test_mv_mul_n11_dense_and_sparse_match_oracle(rng):
-    n = 11
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_mv_mul_dense_and_sparse_match_oracle(n, rng):
     size = 1 << n
     x, y = rng.standard_normal(size), rng.standard_normal(size)
     product = mv_mul(Multivector(n, x), Multivector(n, y)).coeffs

@@ -297,7 +297,7 @@ def test_eval_reads_json_solutions(tmp_path, capsys):
         ("row.json", json.dumps([{"x": 0.0}, {"x": 1.0}]), "0.5", "<solution>: malformed solution file"),
         ("nan.csv", "x,value\r\n0,1\r\n1,2\r\n", "nan", "x = nan outside the domain"),
         ("span.csv", "x,value\r\n-1.7e308,0\r\n1.7e308,10\r\n", "0,1e308",
-         "<solution>: column 'x' spans [-1.7e+308, 1.7e+308], past the float range"),
+         "<solution>: column 'x' spans [-1.6999999999999999e+308, 1.6999999999999999e+308], past the float range"),
         ("span.json", json.dumps([{"x": -1.7e308, "value": 0.0}, {"x": 1.7e308, "value": 10.0}]), "0,1e308",
          "<solution>: column 'x' spans"),
         ("step.csv", "x,value\r\n0,0\r\n1.7e308,1\r\n-1.7e308,2\r\n1,3\r\n", "0,1e308",

@@ -38,7 +38,7 @@ def constant_params(partition, c, s):
 
 def test_grid_function_requires_enough_points():
     part = uniform_partition(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="M >= N"):
         GridFunction(part, np.zeros(3))  # M = 2 < N = 4
     GridFunction(part, np.zeros(5))
 

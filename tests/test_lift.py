@@ -31,7 +31,7 @@ from clifract import (
     residual,
     uniform_partition,
 )
-from clifract import lift
+from clifract import algebra
 from oracles import blade_mul_oracle, dense_operator
 
 KNOTS = [0.0, 0.5, 1.0]
@@ -583,7 +583,7 @@ def test_product_requires_matching_grids():
 def gamma_matrix(n, mask):
     """Gamma_mask as a dense complex matrix, read from its slot and sign: the entry in
     row r sits in column r ^ x and is sign * (1 or i) * (-1)^|r & z|."""
-    slot, sign, had, _ = lift._rep_tables(n)
+    slot, sign, had, _ = algebra._rep_tables(n)
     d = len(had)
     z, rest = divmod(int(slot[mask]), 2 * d)
     x, imaginary = divmod(rest, 2)
@@ -606,7 +606,7 @@ def mask_pairs(n, rng):
 def test_representation_matches_the_sign_oracle(n, rng):
     gamma = functools.cache(lambda mask: gamma_matrix(n, mask))
     pairs = mask_pairs(n, rng)
-    d = len(lift._rep_tables(n)[2])
+    d = len(algebra._rep_tables(n)[2])
     omega = (1 << n) - 1
     assert np.array_equal(gamma(0), np.eye(d))
     for a, b in pairs:
@@ -633,7 +633,7 @@ def random_function(n, grid_m, masks, rng):
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9, 12])
 def test_factored_forward_map_is_the_dense_sum(n, rng):
-    slot, sign, had, relayout = lift._rep_tables(n)
+    slot, sign, had, relayout = algebra._rep_tables(n)
     size, d = 1 << n, len(had)
     assert len(set(slot.tolist())) == size  # no two blades share a slot
     assert np.array_equal(relayout[relayout], np.arange(2 * d * d))  # there and back
@@ -641,7 +641,7 @@ def test_factored_forward_map_is_the_dense_sum(n, rng):
     f = random_function(n, 4, masks, rng)
     gammas = [gamma_matrix(n, mask) for mask in masks]
     # Points 1..3 of the grid, so that the block offset is read too.
-    factored = lift._forward_map(f)(1, 4)
+    factored = algebra._forward_map(n, (f.masks, f.values))(1, 4)
     assert factored.shape == (3, d, d)
     bound = 1e-13 * len(masks) * np.max(np.abs(f.values))
     for point, matrix in zip(range(1, 4), factored):
@@ -661,40 +661,95 @@ def test_matrix_path_agrees_with_the_pair_loop(n, support, rng):
     f = random_function(n, 12, f_masks, rng)
     g = random_function(n, 12, g_masks, rng)
     masks = np.unique(np.bitwise_xor.outer(f_masks, g_masks))
-    exact = lift._pair_product(f, g, masks)
-    via_matrices = lift._matrix_product(f, g, masks)
+    stacks = (n, (f.masks, f.values), (g.masks, g.values), masks)
+    exact = algebra._pair_product(*stacks)
+    via_matrices = algebra._matrix_product(*stacks)
     bound = 1e-12 * size * np.max(np.abs(f.values)) * np.max(np.abs(g.values))
     assert np.max(np.abs(via_matrices - exact)) <= bound
 
 
 @pytest.fixture
 def product_paths(monkeypatch):
-    """Record which kernel each pointwise_product call runs."""
+    """Record which kernel each pointwise_product or mv_mul call runs."""
     taken = []
     for name in ("_pair_product", "_matrix_product"):
-        kernel = getattr(lift, name)
+        kernel = getattr(algebra, name)
         def spy(*args, kernel=kernel, name=name):
             taken.append(name)
             return kernel(*args)
-        monkeypatch.setattr(lift, name, spy)
+        monkeypatch.setattr(algebra, name, spy)
     return taken
 
 
 def test_small_products_stay_on_the_pair_loop_and_large_ones_use_matrices(product_paths, rng):
+    products = []
     for n in (1, 2):
         full = np.arange(1 << n)
         f, g = random_function(n, 16, full, rng), random_function(n, 16, full, rng)
-        product = pointwise_product(f, g)
-        # The pair loop adds the terms of a blade in mv_mul's order, so the values agree.
-        # np.array_equal takes -0.0 == 0.0: the sign of a zero may differ, since the pair
-        # loop starts each sum at -0.0 and mv_mul at +0.0.
+        products.append((f, g, pointwise_product(f, g)))
+    assert product_paths == ["_pair_product"] * 2
+    # mv_mul is the one-point case of the same pair loop, so the values agree.
+    for f, g, product in products:
         for j in range(17):
             assert np.array_equal(product.value_at(j).coeffs, mv_mul(f.value_at(j), g.value_at(j)).coeffs)
-    assert product_paths == ["_pair_product"] * 2
     product_paths.clear()
     full = np.arange(1 << 9)
     pointwise_product(random_function(9, 2, full, rng), random_function(9, 2, full, rng))
     assert product_paths == ["_matrix_product"]
+
+
+def test_dense_mv_mul_takes_the_pair_loop_at_n2_and_matrices_at_n10(product_paths, rng):
+    for n in (2, 10):
+        mv_mul(Multivector(n, rng.standard_normal(1 << n)), Multivector(n, rng.standard_normal(1 << n)))
+    assert product_paths == ["_pair_product", "_matrix_product"]
+
+
+def test_lopsided_mv_mul_takes_the_pair_loop_and_sums_in_ascending_a(product_paths, rng):
+    n = 10
+    size = 1 << n
+    dense = rng.standard_normal(size)
+    blade = np.zeros(size)
+    blade[rng.integers(size)] = rng.standard_normal()
+    paravector = np.zeros(size)
+    paravector[[0, *(1 << np.arange(n))]] = rng.standard_normal(n + 1)
+    for x, y in [(blade, dense), (dense, blade), (paravector, dense), (dense, paravector)]:
+        want = np.full(size, -0.0)
+        for a in np.flatnonzero(x):
+            for b in np.flatnonzero(y):
+                sign, mask = blade_mul_oracle(int(a), int(b))
+                want[mask] += sign * x[a] * y[b]
+        product = mv_mul(Multivector(n, x), Multivector(n, y)).coeffs
+        assert np.array_equal(product.view(np.uint64), want.view(np.uint64))
+    assert product_paths == ["_pair_product"] * 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("support", ["full", "sparse"])
+def test_pointwise_product_is_mv_mul_bit_for_bit_at_every_grid_point(n, support, rng):
+    size, grid_m = 1 << n, 99
+    part = uniform_partition(0.0, 1.0, 2)
+
+    def draw():
+        masks = range(size) if support == "full" else rng.choice(size, size // 2 + 1, replace=False)
+        normal = rng.standard_normal((len(masks), grid_m + 1))
+        signed = rng.choice([0.0, -0.0, 1.0, -1.0], normal.shape)
+        values = np.where(rng.random(normal.shape) < 0.4, normal, signed)
+        return CliffordGridFunction(n, part, grid_m, {int(m): GridFunction(part, row) for m, row in zip(masks, values)})
+
+    f, g = draw(), draw()
+    product = pointwise_product(f, g)
+    signs = {(a, b): blade_mul_oracle(a, b)[0] for a in f.masks for b in g.masks}
+    for j in range(grid_m + 1):
+        fj, gj = f.value_at(j).coeffs, g.value_at(j).coeffs
+        want = mv_mul(f.value_at(j), g.value_at(j)).coeffs.copy()
+        # mv_mul multiplies the nonzero coefficients only, so a blade whose every term is a
+        # zero is +0.0 there, while the stored rows add those zero terms to -0.0, and the
+        # sum stays -0.0 when each of them is -0.0.
+        for c in product.masks:
+            terms = [signs[a, a ^ c] * fj[a] * gj[a ^ c] for a in f.masks if a ^ c in g.masks]
+            if all(term == 0 and np.signbit(term) for term in terms):
+                want[c] = -0.0
+        assert np.array_equal(product.value_at(j).coeffs.view(np.uint64), want.view(np.uint64)), j
 
 
 def test_overflow_on_the_matrix_path_raises(product_paths):
