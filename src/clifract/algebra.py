@@ -63,6 +63,27 @@ def _check_mask(mask: int, n: int) -> None:
         raise ValueError(f"blade mask {mask!r} out of range for dimension n={n}")
 
 
+def _scaled(values) -> tuple[np.ndarray, int]:
+    """(values * 2^-e, e), with 2^e just above the largest |value| (e = 0 when that is
+    0 or not finite).
+
+    The squares of the scaled values neither overflow nor, for the largest,
+    underflow.  Power-of-two scaling is exact, so a result computed from the
+    scaled values and scaled back keeps its bits wherever no square overflows
+    or underflows unscaled.
+    """
+    values = np.asarray(values, dtype=float)
+    top = float(np.max(np.abs(values), initial=0.0))
+    exp = math.frexp(top)[1] if math.isfinite(top) else 0
+    return np.ldexp(values, -exp), exp
+
+
+def _norm(values) -> float:
+    """Euclidean norm of a vector, computed on its `_scaled` values."""
+    unit, exp = _scaled(values)
+    return float(np.ldexp(math.sqrt(unit @ unit), exp))
+
+
 def blade_grade(mask: int) -> int:
     """Number of generators in the blade, i.e. |A|."""
     return int(mask).bit_count()
@@ -380,7 +401,7 @@ class Multivector:
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
-        return float(np.linalg.norm(self.coeffs))
+        return _norm(self.coeffs)
 
     __abs__ = norm
 
@@ -526,7 +547,7 @@ class Paravector:
     __hash__ = None  # type: ignore[assignment]
 
     def vector_norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        return _norm(self.vector)
 
     def norm(self) -> float:
         return math.hypot(self.scalar, self.vector_norm())
@@ -570,11 +591,17 @@ class Paravector:
         )
 
     def inverse(self) -> "Paravector":
-        """conj(x) / |x|^2; the two-sided inverse since x conj(x) = |x|^2."""
-        nsq = self.scalar * self.scalar + float(self.vector @ self.vector)
+        """conj(x) / |x|^2; the two-sided inverse since x conj(x) = |x|^2.
+
+        It is conj(y) / |y|^2 * 2^-e for the `_scaled` y = x * 2^-e, so |y|^2
+        neither overflows nor underflows.
+        """
+        unit, exp = _scaled([self.scalar, *self.vector])
+        scalar, vector = float(unit[0]), unit[1:]
+        nsq = scalar * scalar + float(vector @ vector)
         if nsq == 0.0:
             raise ZeroDivisionError("the zero paravector has no inverse")
-        return Paravector(self.scalar / nsq, -self.vector / nsq)
+        return Paravector(np.ldexp(scalar / nsq, -exp), np.ldexp(-vector / nsq, -exp))
 
     def __repr__(self) -> str:
         return f"Paravector({self.scalar:g}, {np.array2string(self.vector, precision=6)})"
@@ -591,7 +618,7 @@ def omega(vector: Sequence[float]) -> Multivector:
     if vec.ndim != 1:
         raise ValueError("omega expects a one-dimensional vector")
     _check_dimension(len(vec))
-    r = float(np.linalg.norm(vec))
+    r = _norm(vec)
     if r == 0.0:
         raise ValueError("omega is undefined for the zero vector")
     return Paravector(0.0, vec / r).embed()

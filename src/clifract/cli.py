@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import blade_key
 from .config import MAX_GRID_CELLS, ConfigError, ProblemSetup, build_problem, load_config
-from .engine import ConvergenceError, SpaceSpec, empirical_gamma, gamma_gate
+from .engine import _SPACES, ConvergenceError, SpaceSpec, empirical_gamma, gamma_gate
 from .lift import clifford_empirical_gamma, clifford_fixed_point, residual
 
 __all__ = ["main"]
@@ -63,6 +63,9 @@ _PREFIX[:, 1:5] = np.frombuffer(b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", np.ui
 # The most cells a solution body may hold: (grid_M + 1) rows of 1 + 2^n cells,
 # with (grid_M + 1) * 2^n <= MAX_GRID_CELLS, so eval allocates no more.
 _MAX_BODY_CELLS = 2 * MAX_GRID_CELLS
+# A JSON solution takes at most this many bytes a cell, plus 3 for its brackets: a row
+# of x and the two blades of n = 1, all 24-byte floats, is 138 bytes; other n take fewer.
+_JSON_CELL_BYTES = 46
 # The CSV reader takes the body in reads of this many bytes, cut back to the last row end.
 # A worker's arrays for one chunk take about 12x its bytes, so this bounds the reader's memory.
 _CHUNK_BYTES = 1 << 18
@@ -368,21 +371,15 @@ def _csv_block(cells: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+# The index each `check` row takes where the configured space sets none; q defaults to p.
+_DEFAULT_INDICES = {"k": 0, "alpha": 1.0, "p": 2.0, "s": 1.0}
+
+
 def _report_spaces(space: SpaceSpec) -> list[SpaceSpec]:
     """All six gates with the configured indices, defaulting the absent ones."""
-    k = space.k if space.k is not None else 0
-    alpha = space.alpha if space.alpha is not None else 1.0
-    p = space.p if space.p is not None else 2.0
-    q = space.q if space.q is not None else p
-    s = space.s if space.s is not None else 1.0
-    return [
-        SpaceSpec.ck(k),
-        SpaceSpec.ck_alpha(k, alpha),
-        SpaceSpec.lp(p),
-        SpaceSpec.sobolev(s, p),
-        SpaceSpec.besov(s, p, q),
-        SpaceSpec.triebel_lizorkin(s, p, q),
-    ]
+    given = {**_DEFAULT_INDICES, **space.indices()}
+    given.setdefault("q", given["p"])
+    return [SpaceSpec(tag, **{name: given[name] for name in need}) for tag, (need, *_) in _SPACES.items()]
 
 
 def _space_label(space: SpaceSpec) -> str:
@@ -421,6 +418,8 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 first = fh.readline()
                 head += first
             if first.lstrip().startswith("["):
+                # The file size bounds the cells of a solve output, before the body is read.
+                _check_body_cells(math.ceil((os.fstat(fh.fileno()).st_size - 3) / _JSON_CELL_BYTES), 1)
                 rows = json.loads(first + fh.read())
                 xs = _json_numbers("x", [row["x"] for row in rows])
                 if "value" in rows[0]:

@@ -173,8 +173,6 @@ class ProblemConfig:
         if n > TEXT_FORM_MAX:
             raise ConfigError("n", f"blade keys limit configs to n <= {TEXT_FORM_MAX}")
         grid_m = _require(data, "grid_M", int)
-        if grid_m < 2:
-            raise ConfigError("grid_M", "must be at least 2")
         if (grid_m + 1) << n > MAX_GRID_CELLS:
             raise ConfigError(
                 "grid_M",
@@ -197,8 +195,6 @@ class ProblemConfig:
         fif_spec = _parse_fif_spec(data["fif"], n) if has_fif else None
         if fif_spec is not None:
             n_maps = len(fif_spec["x"]) - 1
-        if grid_m < n_maps:
-            raise ConfigError("grid_M", f"must be >= N = {n_maps}")
 
         q_spec = None
         if "q" in data:
@@ -371,10 +367,8 @@ def _parse_space(spec: Any) -> SpaceSpec:
     unknown = set(spec) - {"tag", *SPACE_INDICES}
     if unknown:
         raise ConfigError(f"space.{sorted(unknown)[0]}", "unknown field")
-    try:
+    with _naming("space"):
         return SpaceSpec(tag, **kwargs)
-    except ValueError as exc:
-        raise ConfigError("space", str(exc)) from exc
 
 
 def _parse_output(spec: Any) -> dict:
@@ -441,7 +435,9 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
         if any(abs(v) >= 1.0 for v in s):
             raise ConfigError("s", "interpolation multipliers must satisfy |s_i| < 1")
         with _naming("fif.x"):
-            from_knots(x)  # the partition the builders below make again
+            partition = from_knots(x)  # the partition the builders below make again
+        with _naming("grid_M"):
+            partition._check_grid(config.grid_m)
         with _naming("fif.y"):
             ys = {key: data for key, data, _ in _blades(config, config.fif["y"], "fif.y")}
             params = clifford_fif_from_data(config.n, x, ys, s)
@@ -453,6 +449,8 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
             partition = uniform_partition(*layout["interval"], layout["N"])
         else:
             partition = from_knots(layout["knots"])
+    with _naming("grid_M"):
+        partition._check_grid(config.grid_m)
     s_fields = tuple(
         _build_field(entry, partition, config.grid_m, f"s[{i}]")
         for i, entry in enumerate(config.s)

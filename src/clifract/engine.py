@@ -619,7 +619,33 @@ def fif_from_data(
 # Function-space gates and norms
 # ---------------------------------------------------------------------------
 
-SPACE_TAGS = ("Ck", "CkAlpha", "Lp", "Wsp", "Bspq", "Fspq")
+
+def _sup_norm(space: "SpaceSpec", f: GridFunction) -> float:
+    if space.k != 0:
+        raise NotImplementedError("only the k = 0 sup norm is evaluated numerically")
+    return f.sup_norm()
+
+
+def _lp_norm(space: "SpaceSpec", f: GridFunction) -> float:
+    integral = float(np.trapezoid(np.abs(f.values) ** space.p, dx=f.partition.span / f.grid_m))
+    return integral ** (1.0 / space.p)
+
+
+def _sobolev_gate(sp: "SpaceSpec", lip: np.ndarray, sup: np.ndarray) -> float:
+    return np.sum(lip ** (1.0 - sp.s * sp.p) * sup ** sp.p)
+
+
+# The function spaces by tag: the indices the gate reads, in the order SpaceSpec checks them;
+# the gate, from the slopes |a_i| and the sup-norms of s_i; the grid norm, where one is evaluated.
+_SPACES = {
+    "Ck": (("k",), lambda sp, lip, sup: np.max(lip ** -(sp.k + 1) * sup), _sup_norm),
+    "CkAlpha": (("k", "alpha"), lambda sp, lip, sup: np.max(lip ** -(sp.k + sp.alpha) * sup), None),
+    "Lp": (("p",), lambda sp, lip, sup: np.sum(lip * sup ** sp.p), _lp_norm),
+    "Wsp": (("s", "p"), _sobolev_gate, None),
+    "Bspq": (("s", "p", "q"), lambda sp, lip, sup: np.sum(lip ** ((1.0 / sp.p - sp.s) * sp.q) * sup ** sp.q), None),
+    "Fspq": (("s", "p", "q"), _sobolev_gate, None),
+}
+SPACE_TAGS = tuple(_SPACES)
 
 
 @dataclass(frozen=True)
@@ -636,14 +662,7 @@ class SpaceSpec:
     def __post_init__(self) -> None:
         if self.tag not in SPACE_TAGS:
             raise ValueError(f"unknown space tag {self.tag!r}; expected one of {SPACE_TAGS}")
-        need = {
-            "Ck": ("k",),
-            "CkAlpha": ("k", "alpha"),
-            "Lp": ("p",),
-            "Wsp": ("s", "p"),
-            "Bspq": ("s", "p", "q"),
-            "Fspq": ("s", "p", "q"),
-        }[self.tag]
+        need = _SPACES[self.tag][0]
         for name in need:
             if getattr(self, name) is None:
                 raise ValueError(f"space {self.tag} requires parameter {name!r}")
@@ -703,29 +722,14 @@ def gamma_gate(space: SpaceSpec, params) -> float:
     sups = np.array([field_sup(entry) for entry in params.s])
     # A power that overflows gives the formula's own inf (or nan for 0 * inf).
     with np.errstate(over="ignore", invalid="ignore"):
-        if space.tag == "Ck":
-            return float(np.max(lips ** -(space.k + 1) * sups))
-        if space.tag == "CkAlpha":
-            return float(np.max(lips ** -(space.k + space.alpha) * sups))
-        if space.tag == "Lp":
-            return float(np.sum(lips * sups ** space.p))
-        if space.tag in ("Wsp", "Fspq"):
-            return float(np.sum(lips ** (1.0 - space.s * space.p) * sups ** space.p))
-        if space.tag == "Bspq":
-            return float(np.sum(lips ** ((1.0 / space.p - space.s) * space.q) * sups ** space.q))
-    raise ValueError(f"unknown space tag {space.tag!r}")
+        return float(_SPACES[space.tag][1](space, lips, sups))
 
 
 def norm(space: SpaceSpec, f: GridFunction) -> float:
     """Numerically realized norms: C^0 (grid sup) and L^p (trapezoidal quadrature)."""
-    if space.tag == "Ck":
-        if space.k == 0:
-            return f.sup_norm()
-        raise NotImplementedError("only the k = 0 sup norm is evaluated numerically")
-    if space.tag == "Lp":
-        h = f.partition.span / f.grid_m
-        integral = float(np.trapezoid(np.abs(f.values) ** space.p, dx=h))
-        return integral ** (1.0 / space.p)
-    raise NotImplementedError(
-        f"the {space.tag} norm is not evaluated numerically; only its gate formula is"
-    )
+    realized = _SPACES[space.tag][2]
+    if realized is None:
+        raise NotImplementedError(
+            f"the {space.tag} norm is not evaluated numerically; only its gate formula is"
+        )
+    return realized(space, f)

@@ -17,7 +17,6 @@ kernel on the whole stack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -29,6 +28,7 @@ from .algebra import (
     _check_dimension,
     _check_mask,
     _conj_signs,
+    _scaled,
     _stack_product,
     blade_grade,
     blade_key,
@@ -272,15 +272,13 @@ def _euclidean(rows: np.ndarray) -> np.ndarray:
     """sqrt(sum_k rows[k]^2) over the first axis, the largest norms without
     underflow or overflow.
 
-    The rows are scaled by 2^-e, with 2^e just above the largest |entry|, before
-    squaring, and the result by 2^e after: power-of-two scaling is exact, so a
-    sum whose squares stay normal unscaled keeps its bits, and one row gives
+    The squares are of the `_scaled` rows, and the result is scaled back: a sum
+    whose squares stay normal unscaled keeps its bits, and one row gives
     |rows[0]| bit for bit.  The squares are summed row after row.
     """
-    top = float(np.max(np.abs(rows), initial=0.0))
-    exp = math.frexp(top)[1] if math.isfinite(top) else 0
+    scaled, exp = _scaled(rows)
     total = 0.0
-    for row in np.ldexp(rows, -exp):
+    for row in scaled:
         total += row * row
     return np.ldexp(np.sqrt(total), exp)
 

@@ -130,8 +130,16 @@ class AffinePartition:
         return int(idx) if np.ndim(x) == 0 else idx
 
     def _check_grid(self, grid_m: int) -> None:
+        """M >= N intervals, each wider than 4 float spacings at the larger |x_lo|, |x_hi|:
+        the rounding in `grid` then keeps its points strictly increasing."""
         if grid_m < self.size:
             raise ValueError(f"grid must have M >= N intervals: M={grid_m} < N={self.size}")
+        step, spacing = self.span / grid_m, np.spacing(max(abs(self.x_lo), abs(self.x_hi)))
+        if not step > 4 * spacing:
+            raise ValueError(
+                f"grid step (x_hi - x_lo) / M = {step:g} is not above 4 float spacings "
+                f"({4 * spacing:g}) at the interval ends, so the grid points would coincide"
+            )
 
     def grid(self, grid_m: int) -> np.ndarray:
         """The carrier grid linspace(x_lo, x_hi, M + 1), M >= N, bit for bit: point

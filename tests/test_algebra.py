@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from clifract import (
     ParavectorMatrix,
     blade_key,
     blade_mul,
+    clifford_norm,
+    conj,
     mv_mul,
     omega,
     parse_blade_key,
@@ -282,6 +286,93 @@ def test_inverse_is_two_sided(rng):
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Paravector.zero(3).inverse()
+
+
+def _exact_norm(*values):
+    return sum(Decimal(v) ** 2 for v in values).sqrt()
+
+
+def _parts(pv):
+    return [pv.scalar, *pv.vector.tolist()]
+
+
+# Squares past the float range either way: each result within 2 ulp of the exact one.
+SCALED_CASES = {
+    "mv-norm-huge": (lambda: [Multivector(2, [3e200, 4e200, 0, 0]).norm()], lambda: [_exact_norm(3e200, 4e200)]),
+    "mv-norm-tiny": (
+        lambda: [clifford_norm(Multivector(2, [3e-200, 4e-200, 0, 0]))], lambda: [_exact_norm(3e-200, 4e-200)]
+    ),
+    "pv-norm-huge": (lambda: [Paravector(3e200, [4e200]).norm()], lambda: [_exact_norm(3e200, 4e200)]),
+    "pv-inverse-tiny": (lambda: _parts(Paravector(1e-170, [0, 0]).inverse()), lambda: [1 / Decimal(1e-170), 0, 0]),
+    "pv-inverse-huge": (lambda: _parts(Paravector(1e170, [0, 0]).inverse()), lambda: [1 / Decimal(1e170), 0, 0]),
+    "omega-huge": (
+        lambda: omega([3e200, 4e200]).coeffs.tolist(),
+        lambda: [0, Decimal(3e200) / _exact_norm(3e200, 4e200), Decimal(4e200) / _exact_norm(3e200, 4e200), 0],
+    ),
+    "omega-tiny": (
+        lambda: omega([3e-200, 4e-200]).coeffs.tolist(),
+        lambda: [0, Decimal(3e-200) / _exact_norm(3e-200, 4e-200), Decimal(4e-200) / _exact_norm(3e-200, 4e-200), 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCALED_CASES)
+def test_norms_and_inverses_neither_overflow_nor_underflow(case):
+    computed, exact = SCALED_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = computed()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = exact()
+        assert len(got) == len(want)
+        for value, target in zip(got, want):
+            assert math.isfinite(value)
+            assert abs(Decimal(value) - target) <= 2 * Decimal(math.ulp(float(target)))
+
+
+def test_scaled_norms_keep_the_unscaled_bits_at_ordinary_magnitudes(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        values = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-30, 30, n + 1)
+        pv = Paravector(values[0], values[1:])
+        assert pv.vector_norm() == float(np.linalg.norm(pv.vector))
+        assert Multivector(n, np.resize(values, 1 << n)).norm() == float(np.linalg.norm(np.resize(values, 1 << n)))
+        nsq = pv.scalar * pv.scalar + float(pv.vector @ pv.vector)
+        assert pv.inverse() == Paravector(pv.scalar / nsq, -pv.vector / nsq)
+        assert omega(pv.vector) == Paravector(0.0, pv.vector / float(np.linalg.norm(pv.vector))).embed()
+
+
+def test_scalar_multiples_of_a_multivector(rng):
+    x = Multivector(3, rng.standard_normal(8))
+    for factor in (2, -0.5, np.float64(3.25), np.int64(-4)):
+        expected = Multivector(3, x.coeffs * float(factor))
+        assert x * factor == expected
+        assert factor * x == expected
+    assert x / 4 == Multivector(3, x.coeffs / 4.0)
+    with pytest.raises(TypeError):
+        x * "2"
+    with pytest.raises(TypeError):
+        "2" * x
+
+
+def test_paravector_sums_match_their_multivector_embeddings(rng):
+    for n in (1, 3, 5):
+        a = Paravector(rng.standard_normal(), rng.standard_normal(n))
+        b = Paravector(rng.standard_normal(), rng.standard_normal(n))
+        assert (a + b).embed() == a.embed() + b.embed()
+        assert (a - b).embed() == a.embed() - b.embed()
+        assert (-a).embed() == -a.embed()
+    with pytest.raises(ValueError, match="dimension mismatch: n=2 vs n=3"):
+        Paravector.zero(2) + Paravector.zero(3)
+    with pytest.raises(ValueError, match="dimension mismatch: n=3 vs n=2"):
+        Paravector.zero(3) - Paravector.zero(2)
+
+
+def test_module_conj_and_clifford_norm_are_the_methods(rng):
+    x = Multivector(4, rng.standard_normal(16))
+    assert conj(x) == x.conj()
+    assert clifford_norm(x) == x.norm() == float(np.linalg.norm(x.coeffs))
 
 
 # ---------------------------------------------------------------------------

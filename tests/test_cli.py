@@ -316,6 +316,28 @@ def test_eval_bad_input_exits_2_with_config_error(tmp_path, capsys, name, conten
 
 
 @pytest.mark.parametrize(
+    "at, message",
+    [("0.5,oops", "--at expects comma-separated numbers"), (" , ,", "--at expects at least one x value")],
+    ids=["not-a-number", "no-number"],
+)
+def test_eval_bad_at_exits_2_before_reading_the_solution(tmp_path, at, message):
+    # The solution path does not exist: --at is refused first.
+    assert _run(["eval", str(tmp_path / "missing.csv"), f"--at={at}"]) == (2, "", f"config error: {message}\n")
+
+
+def test_eval_on_an_unreadable_path_exits_2(tmp_path):
+    code, out, err = _run(["eval", str(tmp_path), "--at", "0.5"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: <solution>: cannot read {tmp_path}: ")
+
+
+def test_eval_skips_blank_lines_before_the_csv_header(tmp_path):
+    solution = tmp_path / "solution.csv"
+    solution.write_bytes(b"\r\n  \r\n\nx,value\r\n0,1\r\n1,3\r\n")
+    assert _run(["eval", str(solution), "--at", "0,0.5"]) == (0, "x,value,source\r\n0,1,grid\r\n0.5,2,interpolated\r\n", "")
+
+
+@pytest.mark.parametrize(
     "content, column",
     [
         ("x,,12\r\n0,1,2\r\n1,3,inf\r\n", "'12'"),
@@ -787,6 +809,28 @@ def test_eval_refuses_a_body_past_the_cell_bound(tmp_path, monkeypatch, fast):
     assert [len(matrix) for matrix in read] == ([] if fast else [50, 50, 11])
 
 
+def test_eval_refuses_a_json_body_past_the_cell_bound_before_reading_it(tmp_path, monkeypatch):
+    # The widest rows solve writes: the two blades of n = 1, every float 24 bytes long.
+    candidates = (-1.2345678901234567e-300 + np.arange(12) * 1.2345678901234567e-310).tolist()
+    xs = np.array([x for x in candidates if len(repr(x)) == 24][:6])
+    solution = tmp_path / "solution.json"
+    cli._write_solution(solution, "json", xs, ["", "1"], [xs, xs])
+    cells = 3 * len(xs)
+    assert solution.stat().st_size == cli._JSON_CELL_BYTES * cells + 3
+    at = f"--at={float(xs[0])!r}"
+    monkeypatch.setattr(cli, "_MAX_BODY_CELLS", cells)
+    assert _run(["eval", str(solution), at])[0] == 0
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the body was parsed")
+
+    monkeypatch.setattr(json, "loads", unread)
+    monkeypatch.setattr(cli, "_MAX_BODY_CELLS", cells - 1)
+    assert _run(["eval", str(solution), at]) == (
+        2, "", f"config error: <solution>: more than {cells - 1} cells, the most a solve output holds\n"
+    )
+
+
 def test_eval_bounds_the_rows_it_reads_by_the_wider_of_header_and_body(tmp_path, monkeypatch):
     # np.loadtxt sizes its rows by the first body row: six cells under an x,value header
     # must bound the read at one row past 4 cells, not at 4 // 2 + 1 rows of six.
@@ -937,3 +981,78 @@ def test_mutated_solution_files_end_in_an_exit_code(tmp_path_factory, data):
 )
 def test_overflows_and_short_grids_end_in_their_exit_code(tmp_path, base, changes, command, code):
     assert _exit_code(tmp_path, dict(base, **changes), command, quiet=False) == code
+
+
+
+# ---------------------------------------------------------------------------
+# grids finer than the floats
+# ---------------------------------------------------------------------------
+
+def _grid_argv(tmp_dir, config, command, quiet):
+    cfg = write_config(tmp_dir, config)
+    argv = [command, str(cfg)] + (["--output", str(tmp_dir / "out.csv")] if command == "solve" else [])
+    return argv + (["--quiet"] if quiet else [])
+
+
+@pytest.mark.parametrize(
+    "x, grid_m",
+    [
+        ([0, 5e-324, 1e-323], 8),
+        ([1, 1.000000000000001, 1.000000000000002], 1024),
+        ([1e6, 1000000.0000001, 1000000.0000002], 4096),
+    ],
+    ids=["subnormal-step", "near-one", "near-1e6"],
+)
+@pytest.mark.parametrize("command, quiet", [("solve", True), ("solve", False), ("check", True), ("check", False)])
+def test_a_grid_finer_than_the_floats_exits_2_naming_grid_m(tmp_path, x, grid_m, command, quiet):
+    config = {
+        "schema_version": 1, "n": 0, "grid_M": grid_m, "fif": {"x": x, "y": [0, 1, 2]},
+        "s": [0.5, 0.5], "space": {"tag": "Lp", "p": 2},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(_grid_argv(tmp_path, config, command, quiet))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: grid_M: grid step (x_hi - x_lo) / M = ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_solved_grid_reads_back_at_its_own_points(tmp_path_factory, data):
+    """Knots from 1e-320 to 1e308 in magnitude: solve exits 0, 2 or 3 without a warning,
+    and eval returns each written row at its own x, from the grid, with the same bits."""
+    draw = data.draw
+    start = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-320, 308))
+    tiles = draw(st.sampled_from([2, 4]))
+    if draw(st.booleans()):  # aligned: equal tiles and a multiple of N grid intervals
+        fractions, grid_m = [k / tiles for k in range(tiles + 1)], tiles * draw(st.integers(1, 4096 // tiles))
+    else:
+        fractions, grid_m = {2: [0, 0.3, 1], 4: [0, 0.3, 0.7, 0.9, 1]}[tiles], draw(st.integers(tiles, 4096))
+    if draw(st.booleans()):  # a grid step of 1/4 to 16 float spacings at the start
+        width = float(np.spacing(abs(start))) * grid_m * 2.0 ** draw(st.floats(-2, 4))
+    else:
+        width = 10.0 ** draw(st.floats(-320, 308))
+    x = [start + width * f for f in fractions]
+    config = {
+        "schema_version": 1, "n": 0, "grid_M": grid_m, "fif": {"x": x, "y": [(-1) ** k * k for k in range(len(x))]},
+        "s": [0.5, -0.25, 0.5, -0.25][: len(x) - 1], "trials": 2, "space": {"tag": "Lp", "p": 2},
+    }
+    tmp_dir = tmp_path_factory.mktemp("grid")
+    solution = tmp_dir / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(_grid_argv(tmp_dir, config, "solve", draw(st.booleans())))
+        assert code in (0, 2, 3), err
+        if code != 0:
+            return
+        header, rows = read_csv(solution)
+        with open(solution, newline="") as fh:
+            at = ",".join(row[0] for row in list(csv.reader(fh))[1:])
+        code, out, err = _run(["eval", str(solution), f"--at={at}"])
+    assert code == 0, err
+    lines = list(csv.reader(io.StringIO(out)))
+    assert lines[0] == [*header, "source"]
+    assert [line[-1] for line in lines[1:]] == ["grid"] * len(rows)
+    got = np.array([[float(cell) for cell in line[:-1]] for line in lines[1:]])
+    np.testing.assert_array_equal(got.view(np.uint64), np.array(rows).view(np.uint64))

@@ -308,6 +308,14 @@ def test_fixed_point_uniqueness_across_initial_iterates(rng):
     assert np.max(np.abs(cold.function.values - warm.function.values)) <= 2 * tol
 
 
+def test_fixed_point_refuses_an_initial_iterate_on_another_grid():
+    params = fif_from_data([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], [0.4, -0.35])
+    other = fif_from_data([0.0, 0.25, 1.0], [0.0, 1.0, 0.0], [0.4, -0.35]).partition
+    for initial in (GridFunction(params.partition, np.zeros(257)), GridFunction(other, np.zeros(513))):
+        with pytest.raises(ValueError, match="initial iterate must live on the carrier grid"):
+            fixed_point(params, 512, tol=1e-12, initial=initial)
+
+
 def _band_multiplier_problem(grid_m):
     # s is 1.05 on (0.4, 0.6) and 0.9 elsewhere.  The tile maps double x (mod 1/2), and
     # no pre-image in that band has its own pre-image there, so rho_2 = 1.05 * 0.9 < 1.
