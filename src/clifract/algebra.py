@@ -18,9 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+from ._pool import ordered_map
 
 MAX_DIMENSION = 12
 
@@ -149,6 +151,15 @@ def _stack_product(n: int, f: Stack, g: Stack) -> tuple[np.ndarray, np.ndarray]:
     ones go through matrices, within 1e-12 * 2^n * max|f| * max|g| of the pairs.
     """
     f_masks, g_masks = np.asarray(f[0], dtype=np.intp), np.asarray(g[0], dtype=np.intp)
+    # At M = 4096 and n = 5..9 a pair of rows costs 10-13 us, and the matrix path, whose
+    # work per point is its 2 d^2 slots, as much as about 450 pairs at n = 5 (d = 4), 950
+    # at n = 6 (d = 8) and 3,700-4,100 at n = 7..9 (d = 16), at or below 8 pairs a slot
+    # plus 512 (768, 1,536, 4,608).  The matrix path never runs at n <= 4.  At one point a
+    # pair costs about 10 ns in one add.at and the matrix path 0.06-0.5 ms at n = 8..12, so
+    # there too the rule is within about 1.5x of the crossover.
+    on_matrices = len(f_masks) * len(g_masks) >= 16 * _rep_dim(n) ** 2 + 512
+    if f[1].ndim == 1 and not on_matrices:
+        return _pair_product(n, f, g, None)
     # The support is symmetric in f and g, so one step per mask of the shorter list.
     short, long = (f_masks, g_masks) if len(f_masks) <= len(g_masks) else (g_masks, f_masks)
     present = np.zeros(1 << n, dtype=bool)
@@ -157,28 +168,30 @@ def _stack_product(n: int, f: Stack, g: Stack) -> tuple[np.ndarray, np.ndarray]:
         if present.all():
             break
     masks = present.nonzero()[0]
-    # At M = 4096 and n = 5..9 a pair of rows costs 10-13 us, and the matrix path, whose
-    # work per point is its 2 d^2 slots, as much as about 450 pairs at n = 5 (d = 4), 950
-    # at n = 6 (d = 8) and 3,700-4,100 at n = 7..9 (d = 16), at or below 8 pairs a slot
-    # plus 512 (768, 1,536, 4,608).  The matrix path never runs at n <= 4.  At one point a
-    # pair costs about 10 ns in one add.at and the matrix path 0.06-0.5 ms at n = 8..12, so
-    # there too the rule is within about 1.5x of the crossover.
-    if len(f_masks) * len(g_masks) >= 16 * _rep_dim(n) ** 2 + 512:
-        return masks, _matrix_product(n, f, g, masks)
-    return masks, _pair_product(n, f, g, masks)
+    return masks, (_matrix_product if on_matrices else _pair_product)(n, f, g, masks)
 
 
-def _pair_product(n: int, f: Stack, g: Stack, masks: np.ndarray) -> np.ndarray:
-    """The product's rows over `masks`, each blade's terms summed in ascending a."""
+def _pair_product(
+    n: int, f: Stack, g: Stack, masks: np.ndarray | None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The product's rows over `masks`, each blade's terms summed in ascending a.
+
+    At one point `masks` is None: the support is the blades the pairs land on,
+    and the result is (support, rows).
+    """
     sign_masks = _sign_masks(n)
     f_masks, g_masks = np.asarray(f[0], dtype=np.intp), np.asarray(g[0], dtype=np.intp)
     if f[1].ndim == 1:
         # One point: every pair at once.  add.at adds in index order, so each blade
         # still sums its terms in ascending a, as the loop below does.
         terms = _PARITY_SIGN[sign_masks[f_masks][:, None] & g_masks] * f[1][:, None] * g[1]
+        landing = (f_masks[:, None] ^ g_masks).ravel()
         out = np.full(1 << n, -0.0)
-        np.add.at(out, (f_masks[:, None] ^ g_masks).ravel(), terms.ravel())
-        return out[masks]
+        np.add.at(out, landing, terms.ravel())
+        present = np.zeros(1 << n, dtype=bool)
+        present[landing] = True
+        masks = present.nonzero()[0]
+        return masks, out[masks]
     row_of = {mask: row for row, mask in enumerate(masks.tolist())}
     # -0.0 + x is x for every x, so each row starts as its first term, sign bit included.
     out = np.full((len(masks), *f[1].shape[1:]), -0.0)
@@ -276,7 +289,9 @@ def _matrix_product(n: int, f: Stack, g: Stack, masks: np.ndarray) -> np.ndarray
     Per block of points: F and G by `_forward_map`, one batched matmul, then H
     permuted to the (r, x, re/im) layout, one Hadamard matmul over r and one
     gather scaled by +-1/d straight into the output.  No (2^n, d, d) array is
-    ever formed.
+    ever formed.  Up to d = 16 (n <= 9) the blocks run on one thread per CPU
+    (`ordered_map`); from d = 32 on, the matmuls bring OpenBLAS's own threads,
+    and pooled blocks ran 2.4-3.6x slower there, so the blocks run in turn.
     """
     slot, sign, had, relayout = _rep_tables(n)
     d = len(had)
@@ -288,11 +303,22 @@ def _matrix_product(n: int, f: Stack, g: Stack, masks: np.ndarray) -> np.ndarray
     # 2^14 matrix entries a block was fastest at n = 9; each transient stays under 1 MB.
     block = max(1, (1 << 14) // (d * d))
     out = np.empty((len(masks), total))
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        prod = np.matmul(forward_f(lo, hi), forward_g(lo, hi))
-        mixed = had @ prod.reshape(hi - lo, -1).view(np.float64).T.take(relayout, axis=0).reshape(d, -1)
-        np.multiply(mixed.reshape(-1, hi - lo)[back], scale, out=out[:, lo:hi])
+
+    def multiply(starts: Iterable[int]) -> None:
+        for lo in starts:
+            hi = min(lo + block, total)
+            prod = np.matmul(forward_f(lo, hi), forward_g(lo, hi))
+            mixed = had @ prod.reshape(hi - lo, -1).view(np.float64).T.take(relayout, axis=0).reshape(d, -1)
+            np.multiply(mixed.reshape(-1, hi - lo)[back], scale, out=out[:, lo:hi])
+
+    starts = range(0, total, block)
+    if d <= 16:
+        for _ in ordered_map(lambda lo: multiply([lo]), starts, len(starts)):
+            pass
+    else:
+        # One loop keeps a block's arrays until the next block has made its own; a call per
+        # block freed them all on return, and glibc's heap trimming made n = 11 15% slower.
+        multiply(starts)
     return out.reshape(len(masks), *points)
 
 

@@ -13,8 +13,10 @@ seeds produce byte-identical files.  Every CSV cell is the bytes of
 `'%.17g' % v`, as in earlier versions, made in numpy blocks from one
 np.longdouble product per cell; the few cells that product cannot settle
 go through Python's `%.17g` (see `_csv_block`).  eval reads such a body
-back exactly, each value `float(cell)`, with a numpy parser on one thread
-per CPU, and any other CSV with np.loadtxt (see `_read_csv_body`).
+back exactly, each value `float(cell)`, with a numpy parser, and any other
+CSV with np.loadtxt (see `_read_csv_body`).  The CSV writer's blocks and the
+parser's chunks run on one thread per CPU (`_pool.ordered_map`), with the
+same bytes on any CPU count.
 CLIFRACT_OUTPUT_DIR, when set, anchors relative output paths.  With
 --quiet, solve and check skip the random contraction probe and the
 residual, which only their reports print.
@@ -35,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from .algebra import blade_key
 from .config import MAX_GRID_CELLS, ConfigError, ProblemSetup, build_problem, load_config
 from .engine import _SPACES, ConvergenceError, SpaceSpec, empirical_gamma, gamma_gate
@@ -50,7 +53,9 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
 # Cells per block of the solution writers; a CSV block's byte matrix holds up to 31 bytes a cell.
-_CELL_CAP = 1 << 16
+# Each pool thread's malloc arena keeps its blocks' pages: on 2 CPUs a scalar_fine
+# `solve --quiet` peaked 17 MB above its one-CPU RSS at 2^16 cells, and 8 MB at 2^15.
+_CELL_CAP = 1 << 15
 # The CSV digit step needs np.longdouble to carry at least a 64-bit significand.
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 # For 0 <= k <= 27, 10^k is exact in 64 bits, and so is m * 10^k for an odd m <= this bound.
@@ -203,23 +208,27 @@ def _write_solution(
 ) -> None:
     """Write one row per grid point; a lone `value` column is an n = 0 solution.
 
-    Blocks of at most `_CELL_CAP` cells bound the memory.  The CSV bytes are
+    Blocks of at most `_CELL_CAP` cells bound the memory.  CSV blocks, 1/CPUs
+    of that each, run on one thread per CPU (`_pool.ordered_map`): the blocks in
+    flight then hold about what one block holds on one CPU.  The CSV bytes are
     those of `csv.writer` with `format(v, ".17g")` cells (see `_csv_block`).
     The JSON bytes are those of `json.dumps(rows, indent=2) + "\n"`, whose
     floats are `float.__repr__`, the `%r` of a Python float; each block is one
     row template applied with `%`.
     """
-    step = max(1, _CELL_CAP // (1 + len(columns)))
-    blocks = (
-        np.column_stack([xs[lo : lo + step], *(col[lo : lo + step] for col in columns)])
-        for lo in range(0, len(xs), step)
-    )
+    cap = _CELL_CAP // _pool._cpus() if fmt == "csv" else _CELL_CAP
+    step = max(1, cap // (1 + len(columns)))
+    starts = range(0, len(xs), step)
+
+    def block(lo: int) -> np.ndarray:
+        return np.column_stack([xs[lo : lo + step], *(col[lo : lo + step] for col in columns)])
+
     if fmt == "csv":
         header = io.StringIO()
         csv.writer(header).writerow(["x", *names])
         with open(path, "wb") as fh:
             fh.write(header.getvalue().encode())
-            fh.writelines(map(_csv_block, blocks))
+            fh.writelines(_pool.ordered_map(lambda lo: _csv_block(block(lo)), starts, len(starts)))
         return
     if names == ["value"]:
         row = '  {\n    "x": %r,\n    "value": %r\n  }'
@@ -228,7 +237,7 @@ def _write_solution(
         row = '  {\n    "x": %r,\n    "coeffs": {\n' + coeffs + "\n    }\n  }"
     with open(path, "w", newline="") as fh:
         fh.write("[\n")
-        for i, cells in enumerate(blocks):
+        for i, cells in enumerate(map(block, starts)):
             fh.write((",\n" if i else "") + ",\n".join([row] * len(cells)) % tuple(cells.ravel().tolist()))
         fh.write("\n]\n")
 
@@ -486,20 +495,13 @@ def _cell_grammar() -> np.ndarray:
 _GRAMMAR = _cell_grammar()
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
     """The CSV body from byte `offset` on as a (rows, ncol) float64 matrix, each cell `float(cell)`.
 
     A first pass counts the rows and cuts the body into chunks of about
     `_CHUNK_BYTES` that end at a row end; the second parses the chunks into
-    one preallocated matrix, on a thread pool when the process may use more
-    than one CPU, with at most two chunks per worker read and not yet parsed.
+    one preallocated matrix, on one thread per CPU (`_pool.ordered_map`), with at
+    most two chunks per worker read and not yet parsed.
     Returns None, for np.loadtxt to read the file, when the body is empty,
     does not end in a row end, runs on for 1 MiB past the last row end read
     (so no chunk passes `_CHUNK_BYTES` + 1 MiB), or holds a byte, a cell or
@@ -535,21 +537,8 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
                 buf[_PAD + fh.readinto(buf[_PAD:]) :] = 0
                 yield buf, out[rows[i] : rows[i + 1]]
 
-        workers = min(_cpus(), len(cuts) - 1)
-        if workers == 1:
-            return out if all(_parse_chunk(buf, dest, signed_pow10) for buf, dest in chunks()) else None
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            pending, ok = [], True
-            for buf, dest in chunks():
-                if len(pending) == 2 * workers:
-                    ok = pending.pop(0).result()
-                    if not ok:
-                        break
-                pending.append(pool.submit(_parse_chunk, buf, dest, signed_pow10))
-            ok = all([future.result() for future in pending]) and ok
-    return out if ok else None
+        parsed = _pool.ordered_map(lambda chunk: _parse_chunk(*chunk, signed_pow10), chunks(), len(cuts) - 1)
+        return out if all(parsed) else None
 
 
 def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray) -> bool:

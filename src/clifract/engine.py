@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from ._pool import ordered_map
 from .partition import AffinePartition
 
 __all__ = [
@@ -420,8 +421,9 @@ def _solve(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarr
 
     Returns (values (K, M+1), iterations per row, error bound per row).  A
     gather plan is doubled; an interpolating one runs Banach iteration per
-    row under rho_1 = max|s_vals|, or under _power_rho when that is >= 1.
-    Consumes the plan.
+    row under rho_1 = max|s_vals|, or under _power_rho when that is >= 1, the
+    rows on one thread per CPU (`ordered_map`); a ConvergenceError names the
+    lowest failing row.  Consumes the plan.
     """
     if plan.pre_idx is not None:
         return _double_rows(plan, tol, max_iter)
@@ -431,8 +433,11 @@ def _solve(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarr
         lead, rho = _power_rho(plan, rho)
     iterations = np.zeros(len(values), dtype=np.int64)
     bounds = np.zeros(len(values))
-    for row in range(len(values)):
-        values[row], iterations[row], bounds[row] = _iterate_row(plan, row, lead, rho, tol, max_iter)
+    solved = ordered_map(
+        lambda row: _iterate_row(plan, row, lead, rho, tol, max_iter), range(len(values)), len(values)
+    )
+    for row, solution in enumerate(solved):
+        values[row], iterations[row], bounds[row] = solution
     return values, iterations, bounds
 
 

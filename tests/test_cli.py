@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import csv
 import io
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifract import cli, clifford_empirical_gamma, empirical_gamma, fif_from_data, fixed_point
+from clifract import _pool, cli, clifford_empirical_gamma, empirical_gamma, fif_from_data, fixed_point
 from clifract.cli import main
 from clifract.config import build_problem, load_config
 
@@ -723,7 +722,7 @@ def test_eval_output_does_not_depend_on_the_chunks(tmp_path, monkeypatch, payloa
     assert expected[0] == 0
     first_row = solution.read_bytes().split(b"\r\n")[1]
     monkeypatch.setattr(cli, "_CHUNK_BYTES", {"few-bytes": 5, "one-row": len(first_row) + 2, "cuts-cells": 100}[chunk])
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(_pool, "_cpus", lambda: cpus)
     assert _run(argv) == expected
 
 
@@ -740,22 +739,23 @@ def test_cells_off_the_grammar_end_as_with_loadtxt(tmp_path, monkeypatch, row, e
     expected = _loadtxt_run(monkeypatch, argv)
     assert expected[0] == (0 if edit in ("1E5", "+1") else 2)
     monkeypatch.setattr(cli, "_CHUNK_BYTES", 256)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
     assert _run(argv) == expected
 
 
 @EXTENDED
 def test_eval_joins_its_workers_and_raises_no_warning(tmp_path, monkeypatch):
-    pools = []
+    started = []
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(_pool.threading, "Thread", Recording)
     monkeypatch.setattr(cli, "_CHUNK_BYTES", 4)  # one row a chunk
-    monkeypatch.setattr(cli, "_cpus", lambda: 4)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 4)
+    pools = []
     rows = {
         "three-rows": ["0,1", "0.5,2", "1,3"],
         "ten-rows": [f"{k / 9!r},{k}" for k in range(10)],
@@ -768,19 +768,21 @@ def test_eval_joins_its_workers_and_raises_no_warning(tmp_path, monkeypatch):
     for name, body in rows.items():
         solution = tmp_path / f"{name}.csv"
         solution.write_bytes("".join(f"{row}\r\n" for row in ["x,value", *body]).encode())
-        before = threading.active_count()
+        before, threads = threading.active_count(), len(started)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             codes[name] = _run(["eval", str(solution), "--at", "0.5"])[0]
         assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in started)
+        pools.append(len(started) - threads)
     assert codes == {"three-rows": 0, "ten-rows": 0, "loadtxt-fallback": 0, "loadtxt-error": 2, "overflow": 2}
     assert pools == [3, 4, 3, 3, 3]  # min(CPUs, chunks)
 
     # One CPU parses in the calling thread, whose numpy errstate the parser overrides.
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 1)
     with np.errstate(all="raise"):
         assert _run(["eval", str(tmp_path / "overflow.csv"), "--at", "0.5"])[0] == 2
-    assert len(pools) == 5
+    assert len(started) == 16
 
 
 @pytest.mark.parametrize("fast", [pytest.param(True, marks=EXTENDED), False], ids=["numpy-parser", "loadtxt"])

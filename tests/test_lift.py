@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from clifract import (
     residual,
     uniform_partition,
 )
-from clifract import algebra
+from clifract import _pool, algebra
 from oracles import blade_mul_oracle, dense_operator
 
 KNOTS = [0.0, 0.5, 1.0]
@@ -752,9 +753,13 @@ def test_pointwise_product_is_mv_mul_bit_for_bit_at_every_grid_point(n, support,
         assert np.array_equal(product.value_at(j).coeffs.view(np.uint64), want.view(np.uint64)), j
 
 
-def test_overflow_on_the_matrix_path_raises(product_paths):
+def test_overflow_on_the_matrix_path_raises(product_paths, monkeypatch):
+    # 129 points are three blocks of the matrix path at n = 9, on two workers.
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
     part = uniform_partition(0.0, 1.0, 2)
-    f = CliffordGridFunction(9, part, 2, {m: GridFunction(part, np.full(3, 1e200)) for m in range(512)})
+    f = CliffordGridFunction(9, part, 128, {m: GridFunction(part, np.full(129, 1e200)) for m in range(512)})
+    before = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         pointwise_product(f, f)
+    assert threading.active_count() == before
     assert product_paths == ["_matrix_product"]

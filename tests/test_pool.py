@@ -1,0 +1,305 @@
+"""The worker pool: same bits and bytes on any CPU count, joined threads, errors in block order."""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import threading
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from clifract import (
+    CliffordGridFunction,
+    CliffordRBParams,
+    ConvergenceError,
+    GridFunction,
+    clifford_fixed_point,
+    from_knots,
+    pointwise_product,
+    uniform_partition,
+)
+from clifract import _pool, algebra, cli
+from clifract.cli import main
+
+CPUS = [1, 2, 3, 4]
+# Knots whose tiles miss every grid, so the lifted solve runs one Banach loop per row.
+SKEWED = [0.0, 0.3, 0.7, 1.0]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(_pool, "_cpus", lambda: count)
+
+
+@contextlib.contextmanager
+def _no_thread_left():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+def _full_function(n, points, rng):
+    part = uniform_partition(0.0, 1.0, 2)
+    rows = rng.standard_normal((1 << n, points))
+    return CliffordGridFunction(n, part, points - 1, {m: GridFunction(part, row) for m, row in enumerate(rows)})
+
+
+def _interpolating_problem(n, q_of_mask):
+    """CliffordRBParams on SKEWED with a constant q per blade (q_of_mask(mask) on every tile)."""
+    q = {mask: q_of_mask(mask) for mask in range(1 << n)}
+    return CliffordRBParams(n, from_knots(SKEWED), (q,) * 3, (0.5, -0.4, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# the helper
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_the_map_keeps_block_order_and_its_window(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    taken, consumed = [], []
+
+    def blocks():
+        for k in range(23):
+            # At most 2 * workers blocks are taken and not yet consumed.
+            assert k + 1 - len(consumed) <= 2 * cpus
+            taken.append(k)
+            yield k
+
+    with _no_thread_left():
+        for result in _pool.ordered_map(lambda k: k * k, blocks(), 23):
+            consumed.append(result)
+    assert consumed == [k * k for k in range(23)]
+    assert taken == list(range(23))
+
+
+def test_one_worker_runs_in_the_calling_thread(monkeypatch):
+    _cpus(monkeypatch, 4)
+    threads = []
+    with _no_thread_left():
+        list(_pool.ordered_map(lambda k: threads.append(threading.current_thread()), range(1), 1))
+    _cpus(monkeypatch, 1)
+    list(_pool.ordered_map(lambda k: threads.append(threading.current_thread()), range(5), 5))
+    assert threads == [threading.current_thread()] * 6
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_the_first_failure_in_block_order_is_raised_and_every_thread_joined(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    late_failure = threading.Event()
+
+    def work(k):
+        if k == 5:
+            late_failure.set()
+            raise KeyError(k)
+        if k == 2:
+            # Block 5 fails first in time; block 2 is still the one raised.
+            late_failure.wait(timeout=10)
+            raise ValueError(k)
+        return k
+
+    with _no_thread_left(), pytest.raises(ValueError, match="2"):
+        list(_pool.ordered_map(work, range(9), 9))
+
+
+def test_a_map_closed_early_joins_its_threads(monkeypatch):
+    _cpus(monkeypatch, 3)
+    with _no_thread_left():
+        results = _pool.ordered_map(lambda k: k, range(100), 100)
+        assert [next(results) for _ in range(4)] == [0, 1, 2, 3]
+        results.close()
+
+
+def test_the_map_survives_more_threads_than_cores_and_fast_switching(monkeypatch):
+    _cpus(monkeypatch, 3 * (os.cpu_count() or 1) + 1)
+    interval = sys.getswitchinterval()
+    got = []
+    runner = threading.Thread(target=lambda: got.extend(_pool.ordered_map(lambda k: (k, k * k), range(400), 400)))
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [(k, k * k) for k in range(400)]
+
+
+# ---------------------------------------------------------------------------
+# the layers: bits and bytes on any CPU count
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_pooled_products_are_bit_equal_on_any_cpu_count(monkeypatch, n, rng):
+    d = algebra._rep_dim(n)
+    points = 3 * ((1 << 14) // (d * d)) + 1  # three full blocks of the matrix path and one point
+    f, g = _full_function(n, points, rng), _full_function(n, points, rng)
+    products = []
+    for cpus in CPUS:
+        _cpus(monkeypatch, cpus)
+        with _no_thread_left():
+            products.append(pointwise_product(f, g))
+    assert (1 << n) ** 2 >= 16 * d * d + 512  # the matrix path
+    for product in products[1:]:
+        assert product.masks == products[0].masks
+        assert np.array_equal(product.values.view(np.uint64), products[0].values.view(np.uint64))
+
+
+def test_interpolating_rows_are_bit_equal_on_any_cpu_count(monkeypatch):
+    params = _interpolating_problem(2, lambda mask: (-1.0) ** mask * (mask + 0.5))
+    results = []
+    for cpus in CPUS:
+        _cpus(monkeypatch, cpus)
+        with _no_thread_left():
+            results.append(clifford_fixed_point(params, 1000, tol=1e-12))
+    first = results[0]
+    assert len(first.function.masks) == 4
+    for result in results[1:]:
+        assert np.array_equal(result.function.values.view(np.uint64), first.function.values.view(np.uint64))
+        assert dict(result.iterations) == dict(first.iterations)
+        assert result.error_bound == first.error_bound
+
+
+def _cli_config(tmp_path, n):
+    rng = np.random.default_rng(n)
+    keys = ["value"] if n == 0 else [algebra.blade_key(mask) for mask in range(1 << n)]
+    y = rng.standard_normal(len(SKEWED)).tolist() if n == 0 else {key: rng.standard_normal(4).tolist() for key in keys}
+    payload = {
+        "schema_version": 1,
+        "n": n,
+        "grid_M": 600,
+        "fif": {"x": SKEWED, "y": y},
+        "s": [0.5, -0.4, 0.3],
+        "space": {"tag": "Lp", "p": 2},
+    }
+    path = tmp_path / f"n{n}.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_solve_and_eval_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, n):
+    config = _cli_config(tmp_path, n)
+    monkeypatch.setattr(cli, "_CELL_CAP", 256)  # several writer blocks on every CPU count
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 1 << 12)  # several reader chunks
+    files, evals = [], []
+    for cpus in CPUS:
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}.csv"
+        with _no_thread_left():
+            assert _run(["solve", str(config), "--output", str(out)])[0] == 0
+            evals.append(_run(["eval", str(out), "--at", "0,0.1,0.3,0.45,0.7,0.999,1"]))
+        files.append(out.read_bytes())
+    assert files[0].count(b"\r\n") == 602
+    assert evals[0][0] == 0
+    assert files == [files[0]] * len(CPUS)
+    assert evals == [evals[0]] * len(CPUS)
+
+
+# ---------------------------------------------------------------------------
+# errors, errstate and warnings in the workers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_the_lowest_failing_row_is_named(monkeypatch, cpus):
+    # Rows 2 and 5 start 1e12 times further from their fixed points than the rest.
+    params = _interpolating_problem(3, lambda mask: 1e12 if mask in (2, 5) else 1.0)
+    _cpus(monkeypatch, cpus)
+    with warnings.catch_warnings(), _no_thread_left():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="component '2': no convergence after 60") as excinfo:
+            clifford_fixed_point(params, 200, tol=1e-10, max_iter=60)
+    assert excinfo.value.row == 2
+    # Every other row converges within that budget.
+    clifford_fixed_point(_interpolating_problem(3, lambda mask: 1.0), 200, tol=1e-10, max_iter=60)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_an_overflowing_row_raises_in_its_worker_without_a_warning(monkeypatch, cpus):
+    params = _interpolating_problem(2, lambda mask: 1.7976931348623157e308 if mask == 3 else 1.0)
+    _cpus(monkeypatch, cpus)
+    with warnings.catch_warnings(), _no_thread_left():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="component '12'.*overflows"):
+            clifford_fixed_point(params, 200, tol=1e-10, max_iter=10**6)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_the_callers_errstate_holds_in_the_product_workers(monkeypatch, cpus):
+    # 129 points of n = 9 are three blocks of the matrix path.
+    part = uniform_partition(0.0, 1.0, 2)
+    f = CliffordGridFunction(9, part, 128, {m: GridFunction(part, np.full(129, 1e200)) for m in range(512)})
+    _cpus(monkeypatch, cpus)
+    with _no_thread_left(), np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        pointwise_product(f, f)
+    # Ignored in the caller, ignored in the workers: no RuntimeWarning, only the check of the result.
+    with warnings.catch_warnings(), _no_thread_left():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            pointwise_product(f, f)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_failed_write_exits_2_and_joins_the_writer(tmp_path, monkeypatch, cpus):
+    config = _cli_config(tmp_path, 4)
+    monkeypatch.setattr(cli, "_CELL_CAP", 256)
+    _cpus(monkeypatch, cpus)
+    with _no_thread_left():
+        code, _, err = _run(["solve", str(config), "--output", "/dev/full", "--quiet"])
+    assert code == 2
+    assert err.startswith("config error: output: cannot write /dev/full")
+
+
+# ---------------------------------------------------------------------------
+# the writer's memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_the_pooled_writer_peaks_near_its_one_worker_peak(tmp_path, monkeypatch, n):
+    """At 2 workers, the writer's traced peak stays within a quarter of one `_csv_block`
+    call's own peak of its peak at 1 worker.
+
+    Each of the 2 workers' blocks is half the 1-worker block, so the two running
+    blocks hold about one 1-worker block, and the rise is the few results that
+    wait to be written (measured at most 2% of a block).  Whole-size blocks on
+    2 workers rise by 0.7-1.1 blocks.
+    """
+    grid_m = 1 << 14
+    rng = np.random.default_rng(n)
+    xs = np.linspace(0.0, 1.0, grid_m + 1)
+    columns = [rng.standard_normal(grid_m + 1) for _ in range(1 << n)]
+    names = ["value"] if n == 0 else [algebra.blade_key(mask) for mask in range(1 << n)]
+    step = cli._CELL_CAP // (1 + len(columns))
+    block = np.column_stack([xs[:step], *(col[:step] for col in columns)])
+
+    def traced_peak(call):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        one_block = traced_peak(lambda: cli._csv_block(block))
+        peaks = {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            peaks[cpus] = traced_peak(lambda: cli._write_solution(tmp_path / "out.csv", "csv", xs, names, columns))
+    finally:
+        tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + one_block / 4
