@@ -44,30 +44,23 @@ def ordered_map(fn: Callable[[Block], Result], blocks: Iterable[Block], count: i
     if workers <= 1:
         yield from map(fn, blocks)
         return
-    state = threading.Condition()
-    todo: deque = deque()  # (index, context, block) not yet started
-    done: dict[int, tuple[bool, object]] = {}
-    closed = False
+    import queue  # here, so that a process that never starts a thread does not import it
+
+    tasks = queue.SimpleQueue()  # (context, block, reply) per block, then one None per thread
+    ended = threading.Event()
 
     def work() -> None:
-        while True:
-            with state:
-                state.wait_for(lambda: todo or closed)
-                if not todo:
-                    return
-                index, context, block = todo.popleft()
+        while (task := tasks.get()) is not None:
+            context, block, reply = task
+            if ended.is_set():  # the map has ended, and no one reads this reply
+                continue
             try:
-                outcome = True, context.run(fn, block)
+                reply.put((True, context.run(fn, block)))
             except BaseException as exc:  # re-raised in the caller's thread, in block order
-                outcome = False, exc
-            with state:
-                done[index] = outcome
-                state.notify_all()
+                reply.put((False, exc))
 
-    def result(index: int):
-        with state:
-            state.wait_for(lambda: index in done)
-            ok, value = done.pop(index)
+    def result(reply: queue.SimpleQueue):
+        ok, value = reply.get()
         if not ok:
             raise value
         return value
@@ -78,20 +71,18 @@ def ordered_map(fn: Callable[[Block], Result], blocks: Iterable[Block], count: i
             thread = threading.Thread(target=work, name=f"clifract-pool-{i}")
             thread.start()
             threads.append(thread)
-        pending: deque[int] = deque()
-        for index, block in enumerate(blocks):
-            with state:
-                todo.append((index, contextvars.copy_context(), block))
-                state.notify()
-            pending.append(index)
+        pending: deque[queue.SimpleQueue] = deque()
+        for block in blocks:
+            reply = queue.SimpleQueue()
+            tasks.put((contextvars.copy_context(), block, reply))
+            pending.append(reply)
             if len(pending) == 2 * workers:
                 yield result(pending.popleft())
         while pending:
             yield result(pending.popleft())
     finally:
-        with state:
-            closed = True
-            todo.clear()
-            state.notify_all()
+        ended.set()
+        for _ in threads:
+            tasks.put(None)
         for thread in threads:
             thread.join()

@@ -61,8 +61,17 @@ def _check_dimension(n: int) -> None:
 
 
 def _check_mask(mask: int, n: int) -> None:
-    if not isinstance(mask, (int, np.integer)) or not 0 <= mask < (1 << n):
-        raise ValueError(f"blade mask {mask!r} out of range for dimension n={n}")
+    if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)) or not 0 <= mask < (1 << n):
+        raise ValueError(f"blade mask {mask!r} is not an integer in 0..{(1 << n) - 1} for dimension n={n}")
+
+
+def _as_mask(key: int | str, n: int) -> int:
+    """The blade a key names: a text key (see `parse_blade_key`), or an int or numpy
+    integer mask in range.  A bool or a float is no key."""
+    if isinstance(key, str):
+        return parse_blade_key(key, n)
+    _check_mask(key, n)
+    return int(key)
 
 
 def _scaled(values) -> tuple[np.ndarray, int]:
@@ -364,9 +373,7 @@ class Multivector:
         _check_dimension(n)
         coeffs = np.zeros(1 << n)
         for key, value in blades.items():
-            mask = parse_blade_key(key, n) if isinstance(key, str) else key
-            _check_mask(mask, n)
-            coeffs[mask] = value
+            coeffs[_as_mask(key, n)] = value
         return cls(n, coeffs)
 
     # -- vector-space structure -------------------------------------------
@@ -510,6 +517,35 @@ def parse_blade_key(key: str, n: int) -> int:
 # Paravectors
 # ---------------------------------------------------------------------------
 
+# ln 2 in two parts: the first has 32 significant bits, so k * _LN2_HI is exact for |k| < 2^21.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _exp(x: float) -> tuple[float, int]:
+    """(m, k) with e^x = m 2^k: (math.exp(x), 0) wherever that is finite, else
+    m = e^f with f = x - k ln 2 in [-ln 2 / 2, ln 2 / 2].
+
+    An x above 4,000 counts as 4,000: e^x then overflows in any product with up
+    to three nonzero float factors, and k * _LN2_HI stays exact.
+    """
+    try:
+        return math.exp(x), 0
+    except OverflowError:
+        x = min(x, 4000.0)
+        k = round(x / math.log(2))
+        return math.exp((x - k * _LN2_HI) - k * _LN2_LO), k
+
+
+def _times_pow2(factor: float, x, k: int):
+    """factor * x * 2^k: with k = 0 the plain product, else the exponent of x is
+    moved into the ldexp, so that no intermediate loses bits to underflow; inf
+    only where the true product overflows."""
+    if not k:
+        return factor * x
+    frac, exp = np.frexp(x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(factor * frac, exp + k)
+
 
 @dataclass(frozen=True, eq=False)
 class Paravector:
@@ -590,30 +626,39 @@ class Paravector:
         return Multivector(self.n, coeffs)
 
     def exp(self) -> "Paravector":
-        """exp(x) = exp(x_0)(cos|v| + omega(v) sin|v|), with v the vector part."""
+        """exp(x) = exp(x_0)(cos|v| + omega(v) sin|v|), with v the vector part.
+
+        Past exp's float range, exp(x_0) is carried as m 2^k (see `_exp`).
+        """
         r = self.vector_norm()
-        amp = math.exp(self.scalar)
+        amp, k = _exp(self.scalar)
         if r < _SMALL_VECTOR:
             sinc = 1.0 - r * r / 6.0
         else:
             sinc = math.sin(r) / r
-        return Paravector(amp * math.cos(r), (amp * sinc) * self.vector)
+        return Paravector(_times_pow2(amp, math.cos(r), k), _times_pow2(amp * sinc, self.vector, k))
 
     def sin(self) -> "Paravector":
         """sin(x) = sin(x_0)cosh|v| + omega(v) cos(x_0)sinh|v|.
 
         The cos(x_0) factor on the vector part is what the power series
         sum (-1)^k x^(2k+1)/(2k+1)! requires (v^2 = -|v|^2 makes x behave
-        like the complex number x_0 + i|v|).
+        like the complex number x_0 + i|v|).  Past cosh's float range,
+        cosh|v| = sinh|v| = e^|v| / 2 to within e^(-2|v|), carried as m 2^k.
         """
         r = self.vector_norm()
+        try:
+            cosh, sinh, k = math.cosh(r), math.sinh(r), 0
+        except OverflowError:
+            cosh, k = _exp(r)
+            sinh, k = cosh, k - 1
         if r < _SMALL_VECTOR:
             shc = 1.0 + r * r / 6.0
         else:
-            shc = math.sinh(r) / r
+            shc = sinh / r
         return Paravector(
-            math.sin(self.scalar) * math.cosh(r),
-            (math.cos(self.scalar) * shc) * self.vector,
+            _times_pow2(cosh, math.sin(self.scalar), k),
+            _times_pow2(math.cos(self.scalar) * shc, self.vector, k),
         )
 
     def inverse(self) -> "Paravector":

@@ -81,6 +81,13 @@ def _naming(label: str):
         raise ConfigError(label, str(exc)) from exc
 
 
+def _refuse_unknown(spec: Mapping, known, where: str = "") -> None:
+    """Name the first key of `spec` outside `known`; keys compare as text, whatever their type."""
+    unknown = sorted(map(str, set(spec) - set(known)))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}" if where else unknown[0], "unknown field")
+
+
 def _require(data: Mapping, key: str, kind, where: str = ""):
     label = f"{where}.{key}" if where else key
     if key not in data:
@@ -160,9 +167,7 @@ class ProblemConfig:
     def from_dict(cls, data: Mapping) -> "ProblemConfig":
         if not isinstance(data, Mapping):
             raise ConfigError("<root>", "config must be a JSON object")
-        unknown = set(data) - _TOP_LEVEL_KEYS
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown field")
+        _refuse_unknown(data, _TOP_LEVEL_KEYS)
         version = _require(data, "schema_version", int)
         if version != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
@@ -249,9 +254,7 @@ def load_config(path: str | Path) -> ProblemConfig:
 def _parse_partition_spec(spec: Any) -> dict:
     if not isinstance(spec, Mapping):
         raise ConfigError("partition", "expected an object")
-    unknown = set(spec) - {"interval", "N", "knots"}
-    if unknown:
-        raise ConfigError(f"partition.{sorted(unknown)[0]}", "unknown field")
+    _refuse_unknown(spec, {"interval", "N", "knots"}, "partition")
     interval = _number_list(_require(spec, "interval", list, "partition"), "partition.interval")
     if len(interval) != 2 or not interval[0] < interval[1]:
         raise ConfigError("partition.interval", "expected [x_lo, x_hi] with x_lo < x_hi")
@@ -295,19 +298,31 @@ def _parse_q_spec(spec: Any, n: int, n_maps: int | None) -> list:
         raise ConfigError("q", f"expected {n_maps} entries, got {len(spec)}")
     out = []
     for i, entry in enumerate(spec):
-        if n == 0:
-            out.append(_parse_field_spec(entry, f"q[{i}]"))
-            continue
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"q[{i}]", "expected an object mapping blade keys to field specs")
-        blades = {}
-        for key in sorted(entry):
-            if not isinstance(key, str):
-                raise ConfigError(f"q[{i}]", f"blade keys must be strings, got {key!r}")
-            with _naming(f"q[{i}].{key or '<scalar>'}"):
-                parse_blade_key(key, n)
-            blades[key] = _parse_field_spec(entry[key], f"q[{i}].{key or '<scalar>'}")
-        out.append(blades)
+        blades = {key: _parse_field_spec(value, label) for key, value, label in _blades(n, entry, f"q[{i}]")}
+        out.append(blades[""] if n == 0 else blades)
+    return out
+
+
+def _blades(n: int, entry: Any, label: str) -> list[tuple[str, Any, str]]:
+    """(blade key, value, label) per blade of a blade table: a q entry or fif.y.
+
+    At n = 0 the entry is the one blade of Cl(0,0) = R, under the table's own
+    label.  Otherwise it is an object whose keys are text blade keys, each
+    checked, in key order, under the label `<table>.<key or '<scalar>'>`.
+    """
+    if n == 0:
+        return [("", entry, label)]
+    if not isinstance(entry, Mapping):
+        raise ConfigError(label, "expected an object mapping blade keys to values")
+    for key in entry:
+        if not isinstance(key, str):
+            raise ConfigError(label, f"blade keys must be strings, got {key!r}")
+    out = []
+    for key in sorted(entry):
+        where = f"{label}.{key or '<scalar>'}"
+        with _naming(where):
+            parse_blade_key(key, n)
+        out.append((key, entry[key], where))
     return out
 
 
@@ -328,31 +343,20 @@ def _parse_s_spec(spec: list, n_maps: int | None, fif: bool) -> list:
 def _parse_fif_spec(spec: Any, n: int) -> dict:
     if not isinstance(spec, Mapping):
         raise ConfigError("fif", "expected an object")
-    unknown = set(spec) - {"x", "y"}
-    if unknown:
-        raise ConfigError(f"fif.{sorted(unknown)[0]}", "unknown field")
+    _refuse_unknown(spec, {"x", "y"}, "fif")
     xs = _number_list(_require(spec, "x", list, "fif"), "fif.x")
     if len(xs) < 3 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ConfigError("fif.x", "expected >= 3 strictly increasing abscissae")
     if "y" not in spec:
         raise ConfigError("fif.y", "missing required field")
-    y = spec["y"]
-    if n == 0:
-        ys = _number_list(y, "fif.y")
-        if len(ys) != len(xs):
-            raise ConfigError("fif.y", f"expected {len(xs)} ordinates, got {len(ys)}")
-        return {"x": xs, "y": ys}
-    if not isinstance(y, Mapping) or not y:
-        raise ConfigError("fif.y", "expected a nonempty object mapping blade keys to ordinates")
     table = {}
-    for key in sorted(y):
-        with _naming(f"fif.y.{key or '<scalar>'}"):
-            parse_blade_key(key, n)
-        ys = _number_list(y[key], f"fif.y.{key or '<scalar>'}")
-        if len(ys) != len(xs):
-            raise ConfigError(f"fif.y.{key or '<scalar>'}", f"expected {len(xs)} ordinates")
-        table[key] = ys
-    return {"x": xs, "y": table}
+    for key, data, label in _blades(n, spec["y"], "fif.y"):
+        table[key] = _number_list(data, label)
+        if len(table[key]) != len(xs):
+            raise ConfigError(label, f"expected {len(xs)} ordinates, got {len(table[key])}")
+    if not table:
+        raise ConfigError("fif.y", "expected a nonempty object mapping blade keys to ordinates")
+    return {"x": xs, "y": table[""] if n == 0 else table}
 
 
 def _parse_space(spec: Any) -> SpaceSpec:
@@ -364,9 +368,7 @@ def _parse_space(spec: Any) -> SpaceSpec:
         if name in spec:
             _number(spec[name], f"space.{name}")
             kwargs[name] = spec[name]  # as given, so an integer index prints as one
-    unknown = set(spec) - {"tag", *SPACE_INDICES}
-    if unknown:
-        raise ConfigError(f"space.{sorted(unknown)[0]}", "unknown field")
+    _refuse_unknown(spec, {"tag", *SPACE_INDICES}, "space")
     with _naming("space"):
         return SpaceSpec(tag, **kwargs)
 
@@ -374,9 +376,7 @@ def _parse_space(spec: Any) -> SpaceSpec:
 def _parse_output(spec: Any) -> dict:
     if not isinstance(spec, Mapping):
         raise ConfigError("output", "expected an object")
-    unknown = set(spec) - {"path", "format"}
-    if unknown:
-        raise ConfigError(f"output.{sorted(unknown)[0]}", "unknown field")
+    _refuse_unknown(spec, {"path", "format"}, "output")
     out: dict[str, Any] = {}
     if "path" in spec:
         out["path"] = _require(spec, "path", str, "output")
@@ -415,42 +415,33 @@ def _build_field(spec: Any, partition: AffinePartition, grid_m: int, label: str)
     return GridFunction(partition, np.asarray(samples))
 
 
-def _blades(config: ProblemConfig, entry: Any, label: str) -> list[tuple[str, Any, str]]:
-    """(blade key, spec, label) per blade of a q entry or of the fif ordinates;
-    at n = 0 the entry is the one blade of Cl(0,0) = R, under its own label."""
-    if config.n == 0:
-        return [("", entry, label)]
-    return [(key, spec, f"{label}.{key or '<scalar>'}") for key, spec in entry.items()]
-
-
 def build_problem(config: ProblemConfig) -> ProblemSetup:
     """Resolve a parsed config into partition and parameters, rechecking sizes.
 
     Knots that give no valid partition (a slope that rounds to 1) are errors
     of `fif.x` or `partition`; overflowing interpolation data, of `fif.y`.
     """
-    if config.fif is not None:
-        x = config.fif["x"]
+    fif, layout = config.fif, config.partition
+    if fif is not None:
         s = [float(v) for v in config.s]
         if any(abs(v) >= 1.0 for v in s):
             raise ConfigError("s", "interpolation multipliers must satisfy |s_i| < 1")
         with _naming("fif.x"):
-            partition = from_knots(x)  # the partition the builders below make again
-        with _naming("grid_M"):
-            partition._check_grid(config.grid_m)
-        with _naming("fif.y"):
-            ys = {key: data for key, data, _ in _blades(config, config.fif["y"], "fif.y")}
-            params = clifford_fif_from_data(config.n, x, ys, s)
-        return ProblemSetup(config, params.partition, params)
-
-    layout = config.partition
-    with _naming("partition"):
-        if "N" in layout:
-            partition = uniform_partition(*layout["interval"], layout["N"])
-        else:
-            partition = from_knots(layout["knots"])
+            partition = from_knots(fif["x"])  # the partition clifford_fif_from_data makes again
+    else:
+        with _naming("partition"):
+            if "N" in layout:
+                partition = uniform_partition(*layout["interval"], layout["N"])
+            else:
+                partition = from_knots(layout["knots"])
     with _naming("grid_M"):
         partition._check_grid(config.grid_m)
+    if fif is not None:
+        ys = {key: data for key, data, _ in _blades(config.n, fif["y"], "fif.y")}
+        with _naming("fif.y"):
+            params = clifford_fif_from_data(config.n, fif["x"], ys, s)
+        return ProblemSetup(config, params.partition, params)
+
     s_fields = tuple(
         _build_field(entry, partition, config.grid_m, f"s[{i}]")
         for i, entry in enumerate(config.s)
@@ -458,7 +449,7 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
     q_blades = tuple(
         {
             key: _build_field(spec, partition, config.grid_m, label)
-            for key, spec, label in _blades(config, entry, f"q[{i}]")
+            for key, spec, label in _blades(config.n, entry, f"q[{i}]")
         }
         for i, entry in enumerate(config.q)
     )

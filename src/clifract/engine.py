@@ -299,19 +299,22 @@ def _build_plan(params, grid_m: int, q_rows: Sequence[Sequence[Field]]) -> _Plan
 
     s_vals = np.empty(grid_m + 1)
     q_vals = np.empty((len(q_rows), grid_m + 1))
-    for i, rows in enumerate(ranges):
-        for name, entry in [("q", q[i]) for q in q_rows] + [("s", params.s[i])]:
-            if isinstance(entry, GridFunction) and (
-                entry.partition != partition or entry.grid_m != grid_m
-            ):
-                raise ValueError(f"sampled {name} entries must live on the carrier grid")
-        at = idx[rows] if aligned else interp.tile(rows)
-        coeffs = [q[i].coeffs if isinstance(q[i], Poly) else () for q in q_rows]
-        _horner(coeffs, points[rows], q_vals[:, rows])
-        for k, q in enumerate(q_rows):
-            if not isinstance(q[i], Poly):
-                q_vals[k, rows] = _field_values(q[i], points[rows], at)
-        s_vals[rows] = _field_values(params.s[i], points[rows], at)
+    # Huge fields may overflow to inf or nan here; the solve and the probe meet those
+    # as they meet their own overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, rows in enumerate(ranges):
+            for name, entry in [("q", q[i]) for q in q_rows] + [("s", params.s[i])]:
+                if isinstance(entry, GridFunction) and (
+                    entry.partition != partition or entry.grid_m != grid_m
+                ):
+                    raise ValueError(f"sampled {name} entries must live on the carrier grid")
+            at = idx[rows] if aligned else interp.tile(rows)
+            coeffs = [q[i].coeffs if isinstance(q[i], Poly) else () for q in q_rows]
+            _horner(coeffs, points[rows], q_vals[:, rows])
+            for k, q in enumerate(q_rows):
+                if not isinstance(q[i], Poly):
+                    q_vals[k, rows] = _field_values(q[i], points[rows], at)
+            s_vals[rows] = _field_values(params.s[i], points[rows], at)
     return _Plan(idx if aligned else None, interp, s_vals, q_vals)
 
 

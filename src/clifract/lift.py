@@ -25,14 +25,13 @@ import numpy as np
 
 from .algebra import (
     Multivector,
+    _as_mask,
     _check_dimension,
-    _check_mask,
     _conj_signs,
     _scaled,
     _stack_product,
     blade_grade,
     blade_key,
-    parse_blade_key,
 )
 from .engine import (
     ConvergenceError,
@@ -64,12 +63,6 @@ __all__ = [
     "pv_restrict",
     "residual",
 ]
-
-
-def _as_mask(key: int | str, n: int) -> int:
-    mask = parse_blade_key(key, n) if isinstance(key, str) else int(key)
-    _check_mask(mask, n)
-    return mask
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -370,21 +363,6 @@ def _interpolation_polys(x: np.ndarray, y: np.ndarray, s: Sequence[float]) -> tu
     return tuple(polys)
 
 
-def _fif_knots(x: Sequence[float], s: Sequence[float]) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Checked knots and multipliers of an interpolation problem."""
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1 or len(xs) < 3:
-        raise ValueError("need at least 3 knots (N >= 2)")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    scalars = tuple(float(v) for v in s)
-    if len(scalars) != len(xs) - 1:
-        raise ValueError(f"need one multiplier per subinterval: {len(xs) - 1}, got {len(scalars)}")
-    if any(abs(v) >= 1.0 for v in scalars):
-        raise ValueError("interpolation multipliers must satisfy |s_i| < 1")
-    return xs, scalars
-
-
 def clifford_fif_from_data(
     n: int,
     x: Sequence[float],
@@ -398,8 +376,13 @@ def clifford_fif_from_data(
     the scalar solve of its data bit for bit.
     """
     _check_dimension(n)
-    xs, scalars = _fif_knots(x, s)
-    partition = from_knots(xs)
+    partition = from_knots(x)  # checks the knots, before the multipliers
+    xs = np.asarray(partition.knots)
+    scalars = tuple(float(v) for v in s)
+    if len(scalars) != partition.size:
+        raise ValueError(f"need one multiplier per subinterval: {partition.size}, got {len(scalars)}")
+    if any(abs(v) >= 1.0 for v in scalars):
+        raise ValueError("interpolation multipliers must satisfy |s_i| < 1")
     per_blade: dict[int, tuple] = {}
     for key, data in y_by_blade.items():
         mask = _as_mask(key, n)

@@ -176,9 +176,10 @@ def uniform_partition(x_lo: float, x_hi: float, n_maps: int) -> AffinePartition:
 
 def from_knots(knots: Sequence[float]) -> AffinePartition:
     """Tiles [k_0, k_N] so that L_i maps the whole interval onto [k_i, k_i+1]."""
-    ks = [float(k) for k in knots]
-    if len(ks) < 3:
-        raise ValueError(f"need at least 3 knots (N >= 2), got {len(ks)}")
+    ks = np.asarray(knots, dtype=float)
+    if ks.ndim != 1 or len(ks) < 3:
+        raise ValueError(f"need a sequence of at least 3 knots (N >= 2), got shape {ks.shape}")
+    ks = ks.tolist()
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("knots must be strictly increasing")
     x_lo, x_hi = ks[0], ks[-1]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import sys
 import warnings
 from decimal import Decimal, localcontext
 
@@ -497,3 +499,50 @@ def test_parse_blade_key_rejects_bad_keys():
 def test_text_form_caps_dimension():
     with pytest.raises(ValueError):
         Multivector.zero(10).to_coeff_dict()
+
+
+def _closed_form(fn, a, v):
+    """exp or sin of the paravector a + v e1 to 60 digits: Decimal.exp gives e^a, cosh v and
+    sinh v, math.sin and math.cos the other factors (sin|v| v / |v| = sin v)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if fn == "exp":
+            amp = Decimal(a).exp()
+            return amp * Decimal(math.cos(v)), amp * Decimal(math.sin(v))
+        up, down = Decimal(v).exp(), Decimal(-v).exp()
+        return Decimal(math.sin(a)) * (up + down) / 2, Decimal(math.cos(a)) * (up - down) / 2
+
+
+# Each component is within 4 ulp of the closed form where that is finite, exactly zero
+# where it is zero, and inf only where it overflows.  math.exp or math.cosh overflows on
+# every case, though each case has a finite or a zero component.
+@pytest.mark.parametrize(
+    "fn, a, v",
+    [("sin", 0.5, 710.5), ("sin", 1e-300, 800.0), ("sin", 0.0, 800.0), ("exp", 710.0, 1e-9), ("exp", 710.0, 0.0)],
+)
+def test_exp_and_sin_past_the_float_range_of_exp(fn, a, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = getattr(Paravector(a, [v]), fn)()
+    for value, target in zip((result.scalar, float(result.vector[0])), _closed_form(fn, a, v)):
+        if target == 0:
+            assert value == 0.0
+        elif abs(target) > Decimal(sys.float_info.max):
+            assert value == math.copysign(math.inf, target)
+        else:
+            assert abs(Decimal(value) - target) <= 4 * Decimal(math.ulp(float(target)))
+
+
+def test_exp_and_sin_keep_their_bits_where_exp_is_in_range():
+    # The SHA-256 of 3,000 exp and sin values with components up to +-700 (and |v| below
+    # cosh's limit 710.47), as computed before exp(x_0), cosh|v| and sinh|v| were carried
+    # past the float range.
+    rng = np.random.default_rng(24)
+    digest = hashlib.sha256()
+    for _ in range(1500):
+        n = int(rng.integers(1, 4))
+        values = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-12, math.log10(700), n + 1)
+        pv = Paravector(values[0], values[1:])
+        for result in (pv.exp(), pv.sin()):
+            digest.update(np.array(_parts(result)).tobytes())
+    assert digest.hexdigest() == "37c45ea089e7c24440e584373d98899a9acad256f44188bea8f66492b6181a87"

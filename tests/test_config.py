@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clifract import CliffordRBParams, GridFunction, Poly, SpaceSpec
 from clifract.cli import main
@@ -295,3 +302,138 @@ def test_output_section_validation():
     with pytest.raises(ConfigError) as excinfo:
         ProblemConfig.from_dict(raw)
     assert excinfo.value.field == "output.format"
+
+
+# ---------------------------------------------------------------------------
+# Mutated configs: one or two paths of a valid config replaced or renamed
+# ---------------------------------------------------------------------------
+
+N0_FIF_CONFIG = {
+    "schema_version": 1,
+    "n": 0,
+    "grid_M": 64,
+    "fif": {"x": [0.0, 0.5, 1.0], "y": [0.0, 1.0, 0.0]},
+    "s": [0.3, -0.3],
+}
+# Small enough that every mutant's check and solve take milliseconds.
+MUTANT_BASES = [
+    dict(raw, grid_M=min(raw["grid_M"], 64), max_iter=200)
+    for raw in (SCALAR_CONFIG, CLIFFORD_CONFIG, FIF_CONFIG, N0_FIF_CONFIG)
+]
+MUTANT_VALUES = [
+    None, True, -1, 1.5, 1e308, -1e308, 5e-324, math.nan, math.inf, "", "x", "12", [], [1], {},
+    {"": 1}, {"poly": []}, {"poly": [1e308, 1e308]}, {"samples": [1]}, 10**400,
+]
+MUTANT_KEYS = [1, None, 2.5, "", "3"]
+
+
+def _config_paths(node, prefix=()):
+    """Every place in a config, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _config_paths(child, prefix + (key,))
+
+
+def _mutant(base, path, value, *, rename=False):
+    """A copy of `base` with the entry at `path` set to `value`, or renamed to `value`."""
+    raw = copy.deepcopy(base)
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if rename:
+        parent[value] = parent.pop(path[-1])
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return raw
+
+
+@st.composite
+def mutated_configs(draw):
+    raw = draw(st.sampled_from(MUTANT_BASES))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_config_paths(raw))))
+        if not path:
+            raw = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+            continue
+        rename = isinstance(path[-1], str) and draw(st.booleans())  # only mapping entries have text keys
+        raw = _mutant(raw, path, draw(st.sampled_from(MUTANT_KEYS if rename else MUTANT_VALUES)), rename=rename)
+    return raw
+
+
+_CLIFFORD, _FIF = MUTANT_BASES[1], MUTANT_BASES[2]
+# Blade tables with a key that is no string, and the table an error names: sorting
+# such keys, or reading one as text, raised a TypeError.
+KEY_MUTANTS = {
+    "q-int": (_mutant(_CLIFFORD, ("q", 0, "12"), 1, rename=True), "q[0]"),
+    "q-none": (_mutant(_CLIFFORD, ("q", 0, "12"), None, rename=True), "q[0]"),
+    "q-float": (_mutant(_CLIFFORD, ("q", 0, "12"), 2.5, rename=True), "q[0]"),
+    "fif-y-int": (_mutant(_FIF, ("fif", "y", "1"), 1, rename=True), "fif.y"),
+    "fif-y-none": (_mutant(_FIF, ("fif", "y", "1"), None, rename=True), "fif.y"),
+    "fif-y-float": (_mutant(_FIF, ("fif", "y", "1"), 2.5, rename=True), "fif.y"),
+    "fif-y-int-alone": (_mutant(_FIF, ("fif", "y"), {1: [0.0, 1.0, 0.0]}), "fif.y"),
+}
+# Fields that overflow while the plan is built: a RuntimeWarning, so a traceback
+# where warnings are errors.
+POLY_OVERFLOW = _mutant(MUTANT_BASES[0], ("q", 0), {"poly": [1e308, 1e308]})
+SAMPLES_OVERFLOW = _mutant(_CLIFFORD, ("s", 1, "samples", 15), -1e308)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(raw=mutated_configs())
+@example(raw=KEY_MUTANTS["q-int"][0])
+@example(raw=KEY_MUTANTS["q-none"][0])
+@example(raw=KEY_MUTANTS["q-float"][0])
+@example(raw=KEY_MUTANTS["fif-y-int"][0])
+@example(raw=KEY_MUTANTS["fif-y-none"][0])
+@example(raw=KEY_MUTANTS["fif-y-float"][0])
+@example(raw=KEY_MUTANTS["fif-y-int-alone"][0])
+@example(raw=POLY_OVERFLOW)
+@example(raw=SAMPLES_OVERFLOW)
+def test_mutated_configs_end_in_a_config_error_or_an_exit_code(tmp_path_factory, raw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            build_problem(ProblemConfig.from_dict(raw))
+        except ConfigError:
+            pass
+        if isinstance(raw, dict) and isinstance(raw.get("max_iter"), int) and raw["max_iter"] > 200:
+            return  # a config that may iterate without end is checked as a dict alone
+        path = tmp_path_factory.mktemp("mutant") / "problem.json"
+        path.write_text(json.dumps(raw))  # keys that are not strings become strings
+        for argv in (["check", str(path)], ["solve", str(path), "--output", str(path.with_suffix(".csv"))]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2, 3)
+
+
+def test_overflowing_fields_end_in_exits_without_warnings(tmp_path, capsys):
+    # The q polynomial overflows on the grid: no gate reads q, so check passes and prints
+    # the probe's nan, and solve stops on the first step.  The sampled multiplier's
+    # pullback overflows on the interpolating grid.
+    runs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, raw in (("poly", POLY_OVERFLOW), ("samples", SAMPLES_OVERFLOW)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(raw))
+            runs[name, "check"] = main(["check", str(config)]), capsys.readouterr()
+            solve = ["solve", str(config), "--quiet", "--output", str(tmp_path / "out.csv")]
+            runs[name, "solve"] = main(solve), capsys.readouterr()
+    code, captured = runs["poly", "check"]
+    assert code == 0 and "empirical (sup norm)         nan\n" in captured.out
+    code, captured = runs["poly", "solve"]
+    assert code == 3
+    assert captured.err == (
+        "no convergence: component 'scalar': no convergence: step 1 = inf overflows (rho_1 = 5.000e-01)\n"
+    )
+    code, captured = runs["samples", "check"]
+    assert code == 1 and "configured Ck(k=0): gamma = 1.3333333333333333e+308 (FAILS)" in captured.out
+    assert runs["samples", "solve"][0] == 3
+
+
+@pytest.mark.parametrize("raw, field", KEY_MUTANTS.values(), ids=KEY_MUTANTS.keys())
+def test_blade_keys_are_text_in_a_config(raw, field):
+    with pytest.raises(ConfigError) as excinfo:
+        ProblemConfig.from_dict(raw)
+    assert excinfo.value.field == field
+    assert "blade keys must be strings" in str(excinfo.value)

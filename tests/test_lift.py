@@ -145,6 +145,37 @@ def test_every_field_is_validated_at_construction(build, pattern):
         build()
 
 
+@pytest.mark.parametrize("key", [True, False, 1.0, 1.5, np.float64(1.0), np.True_], ids=repr)
+def test_blade_keys_are_text_or_integer_masks(key):
+    # A bool or a float named a blade before: 1.5 and True became blade 1, and from_blades
+    # indexed with True, which numpy reads as a mask over the array, setting every coefficient.
+    build = {
+        "from_blades": lambda: Multivector.from_blades({key: 1.0}, 2),
+        "CliffordGridFunction": lambda: CliffordGridFunction(2, _HALVES, 4, {key: GridFunction.zeros(_HALVES, 4)}),
+        "CliffordRBParams": lambda: CliffordRBParams(2, _HALVES, ({key: 1.0}, {}), (0.5, 0.5)),
+        "clifford_fif_from_data": lambda: clifford_fif_from_data(2, KNOTS, {key: [0.0, 1.0, 0.0]}, S),
+    }
+    for make in build.values():
+        with pytest.raises(ValueError, match=r"blade mask .* is not an integer in 0\.\.3"):
+            make()
+    assert Multivector.from_blades({np.int64(3): 1.0, 1: 2.0, "2": 3.0}, 2).coeffs.tolist() == [0, 2, 3, 1]
+
+
+@pytest.mark.parametrize(
+    "knots, pattern",
+    [
+        ([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], r"at least 3 knots \(N >= 2\), got shape \(3, 2\)"),
+        ([0.0, 0.5, 0.4], "knots must be strictly increasing"),
+        ([0.0, 1e-300, 1.0], r"slope must satisfy 0 < \|a\| < 1"),
+    ],
+    ids=["two-dimensional", "decreasing", "slope-rounds-to-1"],
+)
+def test_fif_knots_are_checked_before_the_multipliers(knots, pattern):
+    # The one multiplier is too few for any of these knots: the partition refuses them first.
+    with pytest.raises(ValueError, match=pattern):
+        clifford_fif_from_data(1, knots, {"": [0.0, 1.0, 0.0]}, [0.1])
+
+
 def test_params_component_extraction():
     params = lifted_problem()
     scalar_params = params.component_params("1")
