@@ -55,8 +55,8 @@ __all__ = [
 
 
 def _check_dimension(n: int) -> None:
-    """n = 0 is Cl(0,0) = R: one coefficient, the scalar blade."""
-    if not isinstance(n, int) or not 0 <= n <= MAX_DIMENSION:
+    """n = 0 is Cl(0,0) = R: one coefficient, the scalar blade.  A bool is no dimension."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension n must be an integer in [0, {MAX_DIMENSION}], got {n!r}")
 
 

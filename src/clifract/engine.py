@@ -8,24 +8,23 @@ of M intervals.  When every pre-image of a grid point is itself a grid point
 linearly, with O(M^-2) bias, through indices and weights the plan computes
 once and np.interp's own formula, so every bit is np.interp's.
 
-The grid also chooses the solver, and both stop on a sup-norm certificate
-rho_k < 1 for the linear part A of T^k.  On an aligned grid T^N v = A + B *
-v[P] has the shape of T, so pointer doubling reaches T^(2^k) in k steps, and
-a row stops at the first N with rho_N * ||T^N 0||_inf / (1 - rho_N) <= tol,
-rho_N = max|B| being exact.  On an interpolating grid Banach
-iteration stops once step * (rho_1 + ... + rho_k) / (1 - rho_k) <= tol,
-with rho_1 = max|s_vals| and, only when that is >= 1, the least k <= _K_MAX
-with rho_k = max(|A|^k 1) < 1; none raises.  Either bound is the error
-bound.  Iteration counts are Banach steps, powers of two on an aligned
-grid.  The per-space contraction constants of gamma_gate are separate
-certificates; the solvers do not read them.
+The grid also chooses the solver, and both stop on one rule, `_certify`: with
+rho_k < 1 bounding the sup norm of the linear part of T^k, a row stops at the
+first step with lead * ||step||_inf / (1 - rho_k) <= tol, its error bound.  On
+an aligned grid T^N v = T^N 0 + B * v[P] has the shape of T, so pointer
+doubling reaches N = 2^j in j steps; the step is T^N 0 and lead = rho_N =
+max|B|, exact.  On an interpolating grid, T f = q + A f, Banach iteration
+steps by f_m+1 - f_m with lead = rho_1 + ... + rho_k for the least k <= _K_MAX
+with rho_k = max(|A|^k 1) < 1 (rho_1 = max|s_vals|); with none it raises.
+Counts are Banach steps.  The per-space contraction constants of gamma_gate
+are separate certificates; the solvers do not read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -363,55 +362,69 @@ def _check_settings(tol: float, gamma: float | None, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
+def _certify(steps: np.ndarray, n: int, k: int, lead: float, rho: float, first: int) -> np.ndarray:
+    """The one stopping rule: error bounds for rows first, first + 1, ... from the
+    sup norms `steps` of their latest steps after n Banach steps.
+
+    With rho = rho_k bounding the sup norm of the linear part of T^k, a row's
+    bound is lead * step / (1 - rho), or inf while rho >= 1.  A step that is
+    not finite ends the solve, naming its row.
+    """
+    finite = np.isfinite(steps)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ConvergenceError(
+            f"no convergence: step {n} = {steps[i]} overflows (rho_{k} = {rho:.3e})",
+            iterations=n,
+            residual=float(steps[i]),
+            row=first + i,
+        )
+    return lead * steps / (1.0 - rho) if rho < 1.0 else np.full(len(steps), math.inf)
+
+
+def _no_convergence(n: int, k: int, rho: float, last_step: float, tol: float, row: int) -> NoReturn:
+    """Refuse a solve with a row still unstopped after n Banach steps, the most max_iter allows."""
+    message = f"no convergence after {n} steps (rho_{k} = {rho:.3e}, last step {last_step:.3e}, tol {tol:.3e})"
+    raise ConvergenceError(message, iterations=n, residual=last_step, row=row)
+
+
 def _iterate_row(
-    plan: _Plan, row: int, lead: float, rho: float, tol: float, max_iter: int
+    plan: _Plan, row: int, lead: float, rho: float, k: int, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
-    """Banach iteration of one plan row from zero until lead * step / (1 - rho) <= tol:
+    """Banach iteration of one plan row from zero until its `_certify` bound is <= tol:
     (values, iterations, error bound)."""
-    values, diff = np.zeros(plan.q_vals.shape[1]), math.inf
+    values, diff = np.zeros(plan.q_vals.shape[1]), np.full(1, math.inf)
     # One step buffer for the whole loop: with apply finishing in place, a fresh
     # step array per iteration made this loop 5-15% slower at M = 2^16.
     step = np.empty(values.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, max_iter + 1):
             new_values = plan.apply(values, row)
-            diff = float(np.max(np.abs(np.subtract(new_values, values, out=step), out=step)))
-            if not math.isfinite(diff):
-                raise ConvergenceError(
-                    f"no convergence: step {iteration} = {diff} overflows (rho = {rho:.3e})",
-                    iterations=iteration,
-                    residual=diff,
-                    row=row,
-                )
+            diff = np.max(np.abs(np.subtract(new_values, values, out=step), out=step), keepdims=True)
+            bound = float(_certify(diff, iteration, k, lead, rho, row)[0])
             values = new_values
-            bound = lead * diff / (1.0 - rho)
             if bound <= tol:
                 return values, iteration, bound
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (rho = {rho:.3e}, "
-        f"last step {diff:.3e}, tol {tol:.3e})",
-        iterations=max_iter,
-        residual=diff,
-        row=row,
-    )
+    _no_convergence(max_iter, k, rho, float(diff[0]), tol, row)
 
 
-def _power_rho(plan: _Plan, rho_1: float) -> tuple[float, float]:
-    """(rho_1 + ... + rho_k, rho_k) for the least k <= _K_MAX with rho_k < 1.
+def _power_rho(plan: _Plan) -> tuple[float, float, int]:
+    """(rho_1 + ... + rho_k, rho_k, k) for the least k <= _K_MAX with rho_k < 1.
 
     rho_k = max(|A|^k 1) bounds the sup norm of A^k, the linear part of T^k,
-    because |A| is |s_vals| times the nonnegative interpolation weights.
+    because |A| is |s_vals| times the nonnegative interpolation weights.  The
+    pullback of a row of ones is exactly 1, so rho_1 = max|s_vals| bit for bit.
     """
-    power, total = np.ones(len(plan.s_vals)), 0.0
+    power, total, abs_s = np.ones(len(plan.s_vals)), 0.0, np.abs(plan.s_vals)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_K_MAX):
-            power = plan.interp(power) * np.abs(plan.s_vals)
+        for k in range(1, _K_MAX + 1):
+            power = plan.interp(power) * abs_s
             rho_k = float(np.max(power))
             total += rho_k
             if rho_k < 1.0:
-                return total, rho_k
+                return total, rho_k, k
     raise ConvergenceError(
-        f"no sup-norm certificate on an interpolating grid: max|s| = {rho_1:.17g} >= 1 "
+        f"no sup-norm certificate on an interpolating grid: max|s| = {abs_s.max():.17g} >= 1 "
         f"and rho_k >= 1 for every k <= {_K_MAX} (rho_{_K_MAX} = {rho_k:.3e})",
         iterations=0,
         residual=math.inf,
@@ -420,24 +433,22 @@ def _power_rho(plan: _Plan, rho_1: float) -> tuple[float, float]:
 
 def _solve(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed points of every q row of `plan`, each iterated from zero and
-    certified within tol.
+    certified within tol by `_certify`.
 
     Returns (values (K, M+1), iterations per row, error bound per row).  A
     gather plan is doubled; an interpolating one runs Banach iteration per
-    row under rho_1 = max|s_vals|, or under _power_rho when that is >= 1, the
-    rows on one thread per CPU (`ordered_map`); a ConvergenceError names the
-    lowest failing row.  Consumes the plan.
+    row under the certificate of `_power_rho`, the rows on one thread per CPU
+    (`ordered_map`); a ConvergenceError names the lowest failing row.
+    Consumes the plan.
     """
     if plan.pre_idx is not None:
         return _double_rows(plan, tol, max_iter)
     values = np.empty(plan.q_vals.shape)
-    lead = rho = float(np.max(np.abs(plan.s_vals)))
-    if len(values) and not rho < 1.0:
-        lead, rho = _power_rho(plan, rho)
     iterations = np.zeros(len(values), dtype=np.int64)
     bounds = np.zeros(len(values))
+    certificate = _power_rho(plan) if len(values) else ()  # no rows, no certificate
     solved = ordered_map(
-        lambda row: _iterate_row(plan, row, lead, rho, tol, max_iter), range(len(values)), len(values)
+        lambda row: _iterate_row(plan, row, *certificate, tol, max_iter), range(len(values)), len(values)
     )
     for row, solution in enumerate(solved):
         values[row], iterations[row], bounds[row] = solution
@@ -451,8 +462,8 @@ def _double_rows(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np
     by all rows; T^2N is then A + B * A[:, P], B * B[P] and P[P].  rho_N =
     max|B| is the sup norm of the linear part of T^N, so while rho_N < 1 the
     iterate A = T^N 0 lies within rho_N * max|A| / (1 - rho_N) of the fixed
-    point.  A row stops at the first N = 2^k where that bound is <= tol, and
-    is not written again.
+    point: `_certify` with lead = rho = rho_N.  A row stops at the first
+    N = 2^k where that bound is <= tol, and is not written again.
 
     Consumes the plan: A, B and P are its q_vals, s_vals and pre_idx,
     updated in place, and A ends up holding the result.  Returns (values,
@@ -475,20 +486,12 @@ def _double_rows(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np
         block = stack[rows]
         work, active = scratch[: len(block)], iterations[rows] == 0
         np.abs(block, out=work)
+        # A stopped row is not written again, so its step stays finite.
         step = work.max(axis=1)
-        overflowed = np.flatnonzero(active & ~np.isfinite(step))
-        if overflowed.size:
-            raise ConvergenceError(
-                f"no convergence: step {n} = {step[overflowed[0]]} overflows (rho_{n} = {rho:.3e})",
-                iterations=n,
-                residual=float(step[overflowed[0]]),
-                row=rows.start + int(overflowed[0]),
-            )
-        if rho < 1.0:
-            bound = rho * step / (1.0 - rho)
-            done = active & (bound <= tol)
-            iterations[rows][done] = n
-            bounds[rows][done] = bound[done]
+        bound = _certify(step, n, n, rho, rho, rows.start)
+        done = active & (bound <= tol)
+        iterations[rows][done] = n
+        bounds[rows][done] = bound[done]
         return float(np.max(step[active], initial=0.0))
 
     n, rho = 1, float(np.max(np.abs(mult)))
@@ -496,13 +499,7 @@ def _double_rows(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np
         last_step = max((certify(rows, n, rho) for rows in blocks), default=0.0)
         while not np.all(iterations):
             if 2 * n > max_iter:
-                raise ConvergenceError(
-                    f"no convergence after {n} steps (rho_{n} = {rho:.3e}, "
-                    f"last step {last_step:.3e}, tol {tol:.3e})",
-                    iterations=n,
-                    residual=last_step,
-                    row=int(np.argmin(iterations)),
-                )
+                _no_convergence(n, n, rho, last_step, tol, int(np.argmin(iterations)))
             np.take(mult, index, out=next_mult, mode="wrap")
             next_mult *= mult
             next_rho = float(np.max(np.abs(next_mult)))

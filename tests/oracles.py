@@ -3,11 +3,14 @@
 Nothing here reuses the library's sign tables or solver plans: blade signs
 come from sorting explicit index lists, the transcendental functions from
 truncated power series, and fixed-point values from depth-limited recursion
-through the self-referential equation.
+through the self-referential equation.  `exact_fixed_point` alone reads a
+solver plan: it solves the plan's own floats in exact rational arithmetic, so
+it measures the solver's rounding, not the grid's discretisation.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,6 +127,37 @@ def dense_operator(params: RBParams, grid_m: int) -> tuple[np.ndarray, np.ndarra
         matrix[j, k + 1] = t * s_pre
         rhs[j] = eval_field(params.q[i], pre)
     return matrix, rhs
+
+
+def exact_fixed_point(plan, row: int = 0) -> list[Fraction]:
+    """The exact fixed point of q row `row` of an aligned plan: f[j] = q[j] + s[j] f[P[j]].
+
+    j -> P[j] is a functional graph, so the walk from any index ends on a
+    cycle c_0 -> ... -> c_L-1 -> c_0 or on an index already solved.  A cycle
+    closes in closed form, f[c_0] = sum_i (s[c_0] ... s[c_i-1]) q[c_i] /
+    (1 - s[c_0] ... s[c_L-1]), and every index of the walk then follows by
+    back-substitution, one Fraction step per grid point.
+    """
+    succ = [int(p) for p in plan.pre_idx]
+    s = [Fraction(float(v)) for v in plan.s_vals]
+    q = [Fraction(float(v)) for v in plan.q_vals[row]]
+    f: list[Fraction | None] = [None] * len(succ)
+    for start in range(len(succ)):
+        walk, seen, j = [], {}, start
+        while f[j] is None and j not in seen:
+            seen[j] = len(walk)
+            walk.append(j)
+            j = succ[j]
+        if f[j] is None:  # the walk closed the cycle that starts at walk[seen[j]] = j
+            total, gain = Fraction(0), Fraction(1)
+            for c in walk[seen[j] :]:
+                total += gain * q[c]
+                gain *= s[c]
+            f[j] = total / (1 - gain)
+        for node in reversed(walk):
+            if f[node] is None:
+                f[node] = q[node] + s[node] * f[succ[node]]
+    return f
 
 
 def trapezoid_lp(values: np.ndarray, h: float, p: float) -> float:

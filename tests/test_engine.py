@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from clifract import (
 )
 from clifract.engine import _Interp, _build_plan
 
-from oracles import address_psi, dense_operator, trapezoid_lp
+from oracles import address_psi, dense_operator, exact_fixed_point, trapezoid_lp
 
 
 def constant_params(partition, c, s):
@@ -324,6 +325,14 @@ def _band_multiplier_problem(grid_m):
     return RBParams(part, (Poly((0.0, 1.0)), Poly((1.0, -2.0, 1.0))), (s, s))
 
 
+def _peaked_multiplier_problem(grid_m):
+    # The problem of the power-of-T certificate test below: s peaks at 1.2 near x = 0.15,
+    # far from its pre-images, so max|s| > 1 while rho_2 = max(|A|^2 1) < 1.
+    part = from_knots([0.0, 0.3, 1.0])
+    s = GridFunction.sample(part, grid_m, lambda x: 0.3 + 0.9 * np.exp(-(((x - 0.15) / 0.03) ** 2)))
+    return RBParams(part, (Poly((0.0, 1.0)), Poly((1.0, -2.0, 1.0))), (s, s))
+
+
 @pytest.mark.parametrize("start", ["near", "far"])
 @pytest.mark.parametrize(
     "params, grid_m, tol",
@@ -375,7 +384,7 @@ def test_fixed_point_reports_non_convergence():
 
 def test_banach_iteration_reports_non_convergence():
     params = fif_from_data([0.0, 0.3, 1.0], [0.0, 1.0, 0.0], [0.9, 0.9])
-    with pytest.raises(ConvergenceError, match="no convergence after 3 iterations") as excinfo:
+    with pytest.raises(ConvergenceError, match="no convergence after 3 steps") as excinfo:
         fixed_point(params, 64, tol=1e-14, max_iter=3)
     assert excinfo.value.iterations == 3
     assert excinfo.value.residual > 0
@@ -419,6 +428,71 @@ def test_doubling_certificate_holds_against_a_dense_solve():
     exact = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
     result = fixed_point(params, grid_m, tol=tol, gamma=0.5)
     assert np.max(np.abs(result.function.values - exact)) <= result.error_bound <= tol
+
+
+@pytest.mark.parametrize(
+    "params, grid_m",
+    [(fif_from_data([0.0, 0.3, 1.0], [0.0, 1.0, -0.5], [0.9, -0.9]), 256), (_peaked_multiplier_problem(128), 128)],
+    ids=["rho1", "rho2"],
+)
+def test_banach_iteration_stops_at_the_first_certified_step(params, grid_m):
+    # Replay the iteration one operator application at a time, with rho_k and
+    # lead = rho_1 + ... + rho_k from the dense |A|: the solve must stop at the same
+    # step, on the same bound lead * step / (1 - rho_k).
+    tol = 1e-10
+    matrix, _ = dense_operator(params, grid_m)
+    power, lead = np.ones(grid_m + 1), 0.0
+    while True:
+        power = np.abs(matrix) @ power
+        rho = np.max(power)
+        lead += rho
+        if rho < 1.0:
+            break
+    f, steps = GridFunction.zeros(params.partition, grid_m), 0
+    while True:
+        g = rb_apply(params, f)
+        steps += 1
+        bound = lead * np.max(np.abs(g.values - f.values)) / (1.0 - rho)
+        f = g
+        if bound <= tol:
+            break
+    result = fixed_point(params, grid_m, tol=tol)
+    assert result.function == f
+    assert result.iterations == steps
+    assert result.error_bound == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params, grid_m",
+    [(fif_from_data([0.0, 0.5, 1.0], [0.0, 1.0, -0.5], [0.6, -0.45]), 64), (_band_multiplier_problem(32), 32)],
+    ids=["aligned", "aligned-rho2"],
+)
+def test_the_exact_oracle_agrees_with_a_dense_solve(params, grid_m):
+    plan = _build_plan(params, grid_m, (params.q,))
+    exact = exact_fixed_point(plan)
+    # Every equation of the plan holds exactly, the cycles' closing ones included.
+    for f_j, succ, s_j, q_j in zip(exact, plan.pre_idx, plan.s_vals, plan.q_vals[0]):
+        assert f_j == Fraction(q_j) + Fraction(s_j) * exact[succ]
+    matrix, rhs = dense_operator(params, grid_m)
+    dense = np.linalg.solve(np.eye(grid_m + 1) - matrix, rhs)
+    np.testing.assert_allclose([float(v) for v in exact], dense, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the bound treats the iterates as exact, and rounding puts the error far above it (ROADMAP item 9)",
+)
+def test_the_error_bound_covers_the_rounding_of_a_slow_contraction():
+    # s = +-0.999 at |q| up to 2e4: the rounding floor u * max|f| / (1 - rho) is far above
+    # tol, while the solve stops after 65,536 steps on a bound of 3.3e-22.  The error is 9.1e-8.
+    part = uniform_partition(0.0, 1.0, 2)
+    params = RBParams(part, (Poly((1e4, -3e4, 2e4)), Poly((-2e4, 1e4, 5e3))), (0.999, -0.999))
+    grid_m = 32
+    result = fixed_point(params, grid_m, tol=1e-9, max_iter=2**20)
+    exact = exact_fixed_point(_build_plan(params, grid_m, (params.q,)))
+    error = max(abs(float(Fraction(v) - e)) for v, e in zip(result.function.values, exact))
+    assert error <= result.error_bound
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.9])

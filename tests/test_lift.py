@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 import threading
 
 import numpy as np
@@ -57,6 +58,25 @@ def solved(n=2, grid_m=256, tol=1e-12):
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [True, False])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Multivector(n, np.ones(1 << n)),
+        lambda n: Multivector.zero(n),
+        lambda n: Multivector.from_json_dict({"n": n, "coeffs": {"": 1.0}}),
+        lambda n: CliffordGridFunction(n, uniform_partition(0.0, 1.0, 2), 4, {}),
+        lambda n: CliffordRBParams(n, uniform_partition(0.0, 1.0, 2), ({0: 1.0}, {0: 1.0}), (0.5, 0.5)),
+        lambda n: clifford_fif_from_data(n, KNOTS, {0: [0.0, 1.0, 0.0]}, [0.3, 0.3]),
+    ],
+    ids=["Multivector", "zero", "from_json_dict", "CliffordGridFunction", "CliffordRBParams", "fif"],
+)
+def test_a_bool_is_no_dimension(build, n):
+    # bool is a subclass of int, and True would pass for n = 1.
+    with pytest.raises(ValueError, match=f"dimension n must be an integer in .*, got {n}"):
+        build(n)
 
 
 def test_components_must_share_the_grid():
@@ -396,6 +416,30 @@ def test_lifted_interpolating_solve_without_a_certificate_names_the_component():
     # With no blade to solve there is no row to certify, as on an aligned grid.
     empty = CliffordRBParams(2, part, ({}, {}), (1.2, 0.1))
     assert clifford_fixed_point(empty, 64, tol=1e-10).function.support == ()
+
+
+@pytest.mark.parametrize("knots", [[0.0, 0.5, 1.0], [0.0, 0.3, 1.0]], ids=["aligned", "interpolating"])
+@pytest.mark.parametrize(
+    "q_e1, s, max_iter, pattern",
+    [
+        (1.7976931348623157e308, 0.5, 10**6, r"component '1': no convergence: step (\d+) = inf overflows \(rho_\d+ = "),
+        (1.0, 0.99, 3, r"component '1': no convergence after (\d+) steps \(rho_\d+ = .*, last step .*, tol "),
+    ],
+    ids=["overflow", "max_iter"],
+)
+def test_both_solvers_word_their_refusals_alike(knots, q_e1, s, max_iter, pattern):
+    # The scalar row stops at once on a zero step; the e1 row overflows at step 2, or
+    # has not stopped when max_iter runs out.
+    params = CliffordRBParams(1, from_knots(knots), ({0: 0.0, 1: q_e1}, {0: 0.0, 1: 0.5}), (s, -s))
+    with pytest.raises(ConvergenceError) as excinfo:
+        clifford_fixed_point(params, 32, tol=1e-14, max_iter=max_iter)
+    error = excinfo.value
+    match = re.fullmatch(pattern + r".*\)", str(error))
+    assert match is not None, str(error)
+    assert int(match[1]) == error.iterations > 0
+    assert error.row == 1
+    assert error.residual > 0
+    assert math.isinf(error.residual) == ("overflows" in pattern)
 
 
 def test_unsupported_blades_stay_zero():
