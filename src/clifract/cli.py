@@ -19,7 +19,8 @@ parser's chunks run on one thread per CPU (`_pool.ordered_map`), with the
 same bytes on any CPU count.
 CLIFRACT_OUTPUT_DIR, when set, anchors relative output paths.  With
 --quiet, solve and check skip the random contraction probe and the
-residual, which only their reports print.
+residual, which only their reports print.  A command builds at most one
+operator plan, and its solve, probe and residual all read it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 from . import _pool
 from .algebra import blade_key
 from .config import MAX_GRID_CELLS, ConfigError, ProblemSetup, build_problem, load_config
-from .engine import _SPACES, ConvergenceError, SpaceSpec, empirical_gamma, gamma_gate
-from .lift import clifford_empirical_gamma, clifford_fixed_point, residual
+from .engine import _SPACES, ConvergenceError, SpaceSpec, _probe, gamma_gate
+from .lift import _clifford_fixed_point, _residual
 
 __all__ = ["main"]
 
@@ -147,18 +148,16 @@ def _resolve_output(args, setup: ProblemSetup, fmt: str) -> Path:
     return path
 
 
-def _probe(setup: ProblemSetup) -> float:
-    """The seeded random contraction probe of the problem's operator.
+def _config_probe(plan, cfg) -> float:
+    """The seeded random contraction probe of the problem's operator, on its plan.
 
-    At n = 0 the probe applies the operator with its q, as the scalar probe
-    always has; the lifted probe drops q, which the linear factor allows.  The
-    two round differently in the last bit, either way round depending on the
-    problem, so each kind of config keeps the probe it has always printed.
+    At n = 0 the probe applies the operator with its q, row 0 of the plan, as
+    the scalar probe always has; the lifted probe applies the linear part
+    alone, which the factor allows.  The two round differently in the last
+    bit, either way round depending on the problem, so each kind of config
+    keeps the probe it has always printed.
     """
-    cfg, params = setup.config, setup.params
-    if cfg.n == 0:
-        return empirical_gamma(params.component_params(0), cfg.grid_m, cfg.trials, cfg.seed)
-    return clifford_empirical_gamma(params, cfg.grid_m, cfg.trials, cfg.seed)
+    return _probe(plan, cfg.trials, cfg.seed, row=0 if cfg.n == 0 else None)
 
 
 def _cmd_solve(args) -> int:
@@ -176,12 +175,15 @@ def _cmd_solve(args) -> int:
     fmt = args.format or (cfg.output or {}).get("format") or "csv"
     out_path = _resolve_output(args, setup, fmt)
 
+    plan = params._plan(cfg.grid_m, params.support)
     try:
-        result = clifford_fixed_point(params, cfg.grid_m, tol=cfg.tol, max_iter=cfg.max_iter)
+        result = _clifford_fixed_point(params, plan, cfg.tol, cfg.max_iter)
     except ConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     psi = result.function
+    if args.quiet:
+        del plan  # only the report reads the plan; the write runs without it
 
     # One column per blade: stack rows, and one shared zero row for absent blades.
     # The one blade of an n = 0 solution keeps the column name `value`.
@@ -197,8 +199,8 @@ def _cmd_solve(args) -> int:
     if not args.quiet:
         print(f"iterations: {max(result.iterations.values(), default=1)}")
         print(f"gamma[{cfg.space.tag}]: {_fmt(gate)}")
-        print(f"empirical gamma: {_fmt(_probe(setup))}")
-        print(f"residual: {_fmt(residual(params, psi))}")
+        print(f"empirical gamma: {_fmt(_config_probe(plan, cfg))}")
+        print(f"residual: {_fmt(_residual(plan, psi.values))}")
         print(f"output: {out_path}")
     return EXIT_OK
 
@@ -407,7 +409,9 @@ def _cmd_check(args) -> int:
         for spec in _report_spaces(cfg.space):
             value = gamma_gate(spec, params)
             print(f"{_space_label(spec):<28} {_fmt(value):<24} {'yes' if value < 1 else 'NO'}")
-        print(f"{'empirical (sup norm)':<28} {_fmt(_probe(setup))}")
+        # The probe reads no q row above n = 0, so the plan holds none.
+        plan = params._plan(cfg.grid_m, params.support if cfg.n == 0 else ())
+        print(f"{'empirical (sup norm)':<28} {_fmt(_config_probe(plan, cfg))}")
     verdict = "passes" if configured < 1.0 else "FAILS"
     print(f"configured {_space_label(cfg.space)}: gamma = {_fmt(configured)} ({verdict})")
     return EXIT_OK if configured < 1.0 else EXIT_GATE_FAILED

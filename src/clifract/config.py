@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import MAX_DIMENSION, TEXT_FORM_MAX, parse_blade_key
 from .engine import SPACE_INDICES, Field, GridFunction, Poly, SpaceSpec
-from .lift import CliffordRBParams, clifford_fif_from_data
+from .lift import CliffordRBParams, _fif_on
 from .partition import AffinePartition, from_knots, uniform_partition
 
 __all__ = ["ConfigError", "ProblemConfig", "ProblemSetup", "build_problem", "load_config"]
@@ -427,7 +427,7 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
         if any(abs(v) >= 1.0 for v in s):
             raise ConfigError("s", "interpolation multipliers must satisfy |s_i| < 1")
         with _naming("fif.x"):
-            partition = from_knots(fif["x"])  # the partition clifford_fif_from_data makes again
+            partition = from_knots(fif["x"])
     else:
         with _naming("partition"):
             if "N" in layout:
@@ -439,8 +439,8 @@ def build_problem(config: ProblemConfig) -> ProblemSetup:
     if fif is not None:
         ys = {key: data for key, data, _ in _blades(config.n, fif["y"], "fif.y")}
         with _naming("fif.y"):
-            params = clifford_fif_from_data(config.n, fif["x"], ys, s)
-        return ProblemSetup(config, params.partition, params)
+            params = _fif_on(config.n, partition, ys, s)
+        return ProblemSetup(config, partition, params)
 
     s_fields = tuple(
         _build_field(entry, partition, config.grid_m, f"s[{i}]")

@@ -8,7 +8,8 @@ with shared maps and shared real multipliers; no mixing happens between
 directions.  Pullbacks and s values are therefore the same for every blade:
 one operator plan serves the whole problem, each blade's q is one row of it,
 and one plan application acts on the whole stack.  The contraction factor
-is the scalar one.
+is the scalar one.  The public solve, residual and probe each build a plan;
+their private forms read one the caller built, and write none.
 
 Pointwise algebra (products, conjugation, paravector restriction) acts on
 the stacked rows grid point by grid point; products run the algebra module's
@@ -43,8 +44,9 @@ from .engine import (
     _build_plan,
     _check_problem,
     _check_settings,
+    _Plan,
+    _probe,
     _solve,
-    empirical_gamma,
     norm,
 )
 from .partition import AffinePartition, from_knots
@@ -202,7 +204,7 @@ class CliffordRBParams:
     def _q_row(self, mask: int) -> tuple[Field, ...]:
         return tuple(blades.get(mask, 0.0) for blades in self.q)
 
-    def _plan(self, grid_m: int, masks: Sequence[int]):
+    def _plan(self, grid_m: int, masks: Sequence[int]) -> _Plan:
         return _build_plan(self, grid_m, [self._q_row(mask) for mask in masks])
 
 
@@ -243,20 +245,25 @@ def clifford_fixed_point(
     component without a stop.  `tol` is per blade: the error bound is the
     Euclidean aggregate sqrt(sum_A bound_A^2) of the row bounds, each <= tol,
     so it can reach sqrt(K) * tol for K blades (22.6 tol at n = 9).  gamma is
-    checked to lie in [0, 1) when given and is not read.
+    checked to lie in [0, 1) when given and is not read.  A refusal of the
+    plan itself (no certificate, an overflowing rho_2N) names no component.
     """
     _check_settings(tol, gamma, max_iter)
+    return _clifford_fixed_point(params, params._plan(grid_m, params.support), tol, max_iter)
+
+
+def _clifford_fixed_point(
+    params: CliffordRBParams, plan: _Plan, tol: float, max_iter: int
+) -> CliffordFixedPointResult:
+    """`clifford_fixed_point` on `plan`, whose q rows are those of params.support."""
     masks = params.support
     try:
-        values, steps, bounds = _solve(params._plan(grid_m, masks), tol, max_iter)
+        values, steps, bounds = _solve(plan, tol, max_iter)
     except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"component '{_mask_label(masks[exc.row])}': {exc}",
-            iterations=exc.iterations,
-            residual=exc.residual,
-            row=exc.row,
-        ) from exc
-    function = CliffordGridFunction._from_stack(params.n, params.partition, grid_m, masks, values)
+        if exc.row is not None:
+            exc.args = (f"component '{blade_key(masks[exc.row]) or 'scalar'}': {exc}",)
+        raise
+    function = CliffordGridFunction._from_stack(params.n, params.partition, len(plan.s_vals) - 1, masks, values)
     iterations = MappingProxyType({mask: int(step) for mask, step in zip(masks, steps)})
     return CliffordFixedPointResult(function, iterations, float(_euclidean(bounds)))
 
@@ -276,10 +283,6 @@ def _euclidean(rows: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(total), exp)
 
 
-def _mask_label(mask: int) -> str:
-    return blade_key(mask) or "scalar"
-
-
 def clifford_norm_F(f: CliffordGridFunction, space: SpaceSpec) -> float:
     """Euclidean aggregation sqrt(sum_A ||f_A||^2) of the component norms."""
     return float(_euclidean(np.array([norm(space, comp) for comp in f.components.values()])))
@@ -294,8 +297,11 @@ def residual(params: CliffordRBParams, psi: CliffordGridFunction) -> float:
     if psi.n != params.n or psi.partition != params.partition:
         raise ValueError("function and parameters disagree on algebra or partition")
     masks = sorted(set(params.support) | set(psi.masks))
-    plan = params._plan(psi.grid_m, masks)
-    values = psi._rows(masks)
+    return _residual(params._plan(psi.grid_m, masks), psi._rows(masks))
+
+
+def _residual(plan: _Plan, values: np.ndarray) -> float:
+    """`residual` of the stack `values`, whose row k is the blade of q row k of `plan`."""
     return float(np.max(_euclidean(values - plan.apply(values))))
 
 
@@ -306,10 +312,10 @@ def clifford_empirical_gamma(
 
     Per blade, T f_A - T g_A = s * (f_A - g_A) o L^-1 with the same s and
     pullback for every blade, so the lift's factor in this norm is the
-    scalar one: this is the scalar probe on the shared-s operator (q = 0).
+    scalar one: this is the scalar probe of the operator's linear part, on a
+    plan without q rows.
     """
-    linear = RBParams(params.partition, (0.0,) * params.partition.size, params.s)
-    return empirical_gamma(linear, grid_m, trials, seed)
+    return _probe(params._plan(grid_m, ()), trials, seed, row=None)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +382,11 @@ def clifford_fif_from_data(
     the scalar solve of its data bit for bit.
     """
     _check_dimension(n)
-    partition = from_knots(x)  # checks the knots, before the multipliers
+    return _fif_on(n, from_knots(x), y_by_blade, s)  # the knots are checked before the multipliers
+
+
+def _fif_on(n: int, partition: AffinePartition, y_by_blade: Mapping, s: Sequence[float]) -> CliffordRBParams:
+    """`clifford_fif_from_data` on `partition`, the partition of its knots x."""
     xs = np.asarray(partition.knots)
     scalars = tuple(float(v) for v in s)
     if len(scalars) != partition.size:

@@ -157,6 +157,37 @@ def test_solve_without_a_sup_norm_certificate_exits_3(tmp_path, capsys, partitio
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "partition, s, max_iter, line",
+    [
+        # No power of the interpolating T contracts: the certificate search refuses the plan.
+        ({"knots": [0.0, 0.3, 1.0]}, [1.5, 0.1], 1000, "no sup-norm certificate on an interpolating grid: "
+         "max|s| = 1.5 >= 1 and rho_k >= 1 for every k <= 32 (rho_32 = 4.314e+05)"),
+        # Tile 0 fixes x = 0 with s = 3.5, so rho_N = 3.5^N, which overflows at N = 1024.
+        ({"N": 4}, [3.5, 0.1, 0.1, 0.1], 4096,
+         "no convergence after 512 steps: rho_1024 = inf overflows (rho_512 = 3.655e+278)"),
+    ],
+    ids=["interpolating", "aligned"],
+)
+def test_a_refused_plan_names_no_component(tmp_path, capsys, partition, s, max_iter, line):
+    # The refusal is a property of s, which every blade shares: it blames no blade, and
+    # says "no convergence" at most once.  The Lp(p=1) gate passes.
+    config = {
+        "schema_version": 1,
+        "n": 2,
+        "grid_M": 64,
+        "partition": {"interval": [0.0, 1.0], **partition},
+        "q": [{"1": {"poly": [0.0, 1.0]}}] + [{"1": 1.0}] * (len(s) - 1),
+        "s": s,
+        "max_iter": max_iter,
+        "space": {"tag": "Lp", "p": 1.0},
+    }
+    out = tmp_path / "refused.csv"
+    assert main(["solve", str(write_config(tmp_path, config)), "--output", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_solve_config_error_exits_2(tmp_path, capsys):
     broken = json.loads(json.dumps(CONSTANT_CONFIG))
     del broken["s"]
@@ -441,7 +472,8 @@ def test_an_overflowing_solve_exits_3_with_one_line(tmp_path, capsys, n, partiti
     cfg = write_config(tmp_path, config)
     assert main(["solve", str(cfg), "--output", str(tmp_path / "out.csv")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("no convergence: component 'scalar': ") and "overflows" in err
+    assert err.startswith("component 'scalar': no convergence: step ") and "overflows" in err
+    assert err.count("no convergence") == 1
     assert err.count("\n") == 1
 
 
@@ -492,7 +524,8 @@ def _diagnostics_raise(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a quiet run computed a diagnostic it does not print")
 
-    for name in ("empirical_gamma", "clifford_empirical_gamma", "residual"):
+    # The plan-level probe and residual, the only ones the commands call.
+    for name in ("_probe", "_residual"):
         monkeypatch.setattr(cli, name, fail)
 
 
@@ -506,6 +539,29 @@ def test_quiet_runs_skip_the_probe_and_the_residual(tmp_path, monkeypatch, capsy
     assert main(["check", str(cfg), "--quiet"]) == 0
     assert after.read_bytes() == before.read_bytes()
     assert capsys.readouterr().out.count("\n") == 1  # the verdict line of check
+
+
+@pytest.mark.parametrize("payload", [FIF_CONFIG, CONSTANT_CONFIG], ids=["scalar", "n2"])
+def test_each_command_builds_at_most_one_plan(tmp_path, monkeypatch, payload):
+    from clifract import engine, lift
+
+    plans = []
+    original = engine._build_plan
+
+    def counting(*args, **kwargs):
+        plans.append(args)
+        return original(*args, **kwargs)
+
+    for module in (engine, lift):
+        monkeypatch.setattr(module, "_build_plan", counting)
+    cfg, out = write_config(tmp_path, payload), str(tmp_path / "out.csv")
+    counts = {}
+    for argv in (["solve", "--output", out], ["solve", "--quiet", "--output", out], ["check"], ["check", "--quiet"]):
+        plans.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([argv[0], str(cfg), *argv[1:]]) == 0
+        counts[" ".join(argv[:2])] = len(plans)
+    assert counts == {"solve --output": 1, "solve --quiet": 1, "check": 1, "check --quiet": 0}
 
 
 # scalar_fine's knots, ordinates and multipliers on a small grid.

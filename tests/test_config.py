@@ -424,7 +424,7 @@ def test_overflowing_fields_end_in_exits_without_warnings(tmp_path, capsys):
     code, captured = runs["poly", "solve"]
     assert code == 3
     assert captured.err == (
-        "no convergence: component 'scalar': no convergence: step 1 = inf overflows (rho_1 = 5.000e-01)\n"
+        "component 'scalar': no convergence: step 1 = inf overflows (rho_1 = 5.000e-01)\n"
     )
     code, captured = runs["samples", "check"]
     assert code == 1 and "configured Ck(k=0): gamma = 1.3333333333333333e+308 (FAILS)" in captured.out

@@ -408,13 +408,25 @@ def test_lifted_interpolating_certificate_holds_against_dense_solves(gamma):
     assert result.error_bound == default.error_bound
 
 
-def test_lifted_interpolating_solve_without_a_certificate_names_the_component():
-    part = from_knots([0.0, 0.3, 1.0])
-    params = CliffordRBParams(2, part, ({"12": Poly((0.0, 1.0))}, {"12": 1.0}), (1.2, 0.1))
-    with pytest.raises(ConvergenceError, match=r"component '12': .*max\|s\| = 1.2 >= 1"):
-        clifford_fixed_point(params, 64, tol=1e-10, gamma=0.5)
-    # With no blade to solve there is no row to certify, as on an aligned grid.
-    empty = CliffordRBParams(2, part, ({}, {}), (1.2, 0.1))
+@pytest.mark.parametrize(
+    "knots, s, pattern",
+    [
+        ([0.0, 0.3, 1.0], (1.2, 0.1), r"no sup-norm certificate on an interpolating grid: max\|s\| = 1.2 >= 1 .*"),
+        # rho_2 = max|s * s[P]| is 1e400 at the fixed point x = 0 of tile 0.
+        ([0.0, 0.5, 1.0], (1e200, 0.1), r"no convergence after 1 steps: rho_2 = inf overflows \(rho_1 = 1.000e\+200\)"),
+    ],
+    ids=["interpolating", "aligned"],
+)
+def test_a_refused_plan_names_no_component(knots, s, pattern):
+    # No certificate, or an overflowing rho_2N, is a property of s, which every blade shares.
+    part = from_knots(knots)
+    params = CliffordRBParams(2, part, ({"12": Poly((0.0, 1.0))}, {"12": 1.0}), s)
+    with pytest.raises(ConvergenceError) as excinfo:
+        clifford_fixed_point(params, 64, tol=1e-10, gamma=0.5, max_iter=4)
+    assert re.fullmatch(pattern, str(excinfo.value)), str(excinfo.value)
+    assert excinfo.value.row is None
+    # With no blade to solve there is no row to certify, on either grid.
+    empty = CliffordRBParams(2, part, ({}, {}), s)
     assert clifford_fixed_point(empty, 64, tol=1e-10).function.support == ()
 
 
@@ -528,6 +540,48 @@ def test_lifted_empirical_gamma_matches_scalar_probe():
     lifted = clifford_empirical_gamma(params, 1024, trials=64, seed=9)
     assert abs(lifted - scalar) <= 1e-9
     assert lifted <= 0.45 + 1e-9
+
+
+@pytest.mark.parametrize("knots", [[0.0, 0.5, 1.0], [0.0, 0.3, 1.0]], ids=["aligned", "interpolating"])
+def test_nothing_consumes_a_plan(knots):
+    from clifract.engine import _probe, _solve
+    from clifract.lift import _clifford_fixed_point, _residual
+
+    def arrays(plan):
+        pullback = {"pre_idx": plan.pre_idx} if plan.interp is None else vars(plan.interp)
+        return {"q_vals": plan.q_vals, "s_vals": plan.s_vals, **pullback}
+
+    params = clifford_fif_from_data(2, knots, DATASETS, S)
+    plan = params._plan(64, params.support)
+    held = arrays(plan)
+    before = {name: array.copy() for name, array in held.items()}
+    values, _, _ = _solve(plan, 1e-12, 1000)
+    assert not np.shares_memory(values, plan.q_vals)
+    psi = _clifford_fixed_point(params, plan, 1e-12, 1000).function
+    for row in (0, 2, None):
+        _probe(plan, 4, 1, row)
+    _residual(plan, psi.values)
+    for name, array in arrays(plan).items():
+        assert array is held[name] and np.array_equal(array, before[name]), name
+    # The shared plan gives the public calls' results, bit for bit.
+    assert np.array_equal(psi.values, clifford_fixed_point(params, 64, tol=1e-12).function.values)
+    assert _residual(plan, psi.values) == residual(params, psi)
+
+
+@pytest.mark.parametrize("knots", [[0.0, 0.5, 1.0], [0.0, 0.3, 1.0]], ids=["aligned", "interpolating"])
+def test_the_linear_part_probe_is_the_zero_q_probe_bit_for_bit(knots):
+    # Where s is 0 and f[P] < 0, s * f[P] is -0.0, where the zero-q operator gives
+    # s * f[P] + 0.0 = +0.0; the sup norm of a difference drops the sign.  s also takes
+    # negative values, on samples and as a constant.
+    part = from_knots(knots)
+    grid_m = 64
+    samples = np.where(np.arange(grid_m + 1) % 3 == 0, 0.0, np.linspace(-0.9, 0.9, grid_m + 1))
+    s = (GridFunction(part, samples), -0.5)
+    params = CliffordRBParams(3, part, ({"1": Poly((0.0, 1.0))}, {"1": 1.0}), s)
+    zero_q = RBParams(part, (0.0, 0.0), s)
+    for seed in range(4):
+        lifted = clifford_empirical_gamma(params, grid_m, trials=16, seed=seed)
+        assert lifted.hex() == empirical_gamma(zero_q, grid_m, trials=16, seed=seed).hex()
 
 
 def test_lifted_contraction_bound_on_fully_random_pairs(rng):
