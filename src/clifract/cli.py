@@ -16,11 +16,15 @@ go through Python's `%.17g` (see `_csv_block`).  eval reads such a body
 back exactly, each value `float(cell)`, with a numpy parser, and any other
 CSV with np.loadtxt (see `_read_csv_body`).  The CSV writer's blocks and the
 parser's chunks run on one thread per CPU (`_pool.ordered_map`), with the
-same bytes on any CPU count.
+same bytes on any CPU count; each thread fills one set of buffers, made
+once per command for the largest block or chunk (`_CsvScratch`,
+`_ParseScratch`), and the chunks are read into a ring of buffers.
 CLIFRACT_OUTPUT_DIR, when set, anchors relative output paths.  With
 --quiet, solve and check skip the random contraction probe and the
-residual, which only their reports print.  A command builds at most one
-operator plan, and its solve, probe and residual all read it.
+residual, which only their reports print; check --quiet reads the gate
+alone and builds no plan.  A command builds at most one operator plan, and
+its solve, probe and residual all read it; a plan whose q or s values are
+not finite on the grid is a configuration error.
 """
 
 from __future__ import annotations
@@ -53,19 +57,14 @@ EXIT_GATE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-# Cells per block of the solution writers; a CSV block's byte matrix holds up to 31 bytes a cell.
-# Each pool thread's malloc arena keeps its blocks' pages: on 2 CPUs a scalar_fine
-# `solve --quiet` peaked 17 MB above its one-CPU RSS at 2^16 cells, and 8 MB at 2^15.
-_CELL_CAP = 1 << 15
+# Cells per block of the solution writers, shared among the CSV writer's threads.  Their
+# buffers hold 116 bytes a cell (`_CsvScratch`), 7.25 MiB in all, about what the fresh
+# temporaries of each block, some 216 bytes a cell plus the block, held at 2^15 cells.
+_CELL_CAP = 1 << 16
 # The CSV digit step needs np.longdouble to carry at least a 64-bit significand.
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 # For 0 <= k <= 27, 10^k is exact in 64 bits, and so is m * 10^k for an odd m <= this bound.
 _EXACT_LIMIT = np.array([(2**64 - 1) // 5**k for k in range(28)], dtype=np.uint64)
-# Per layout class (exponent clipped to -5..17, plus 5): the digit the point follows
-# (17: none), and the `0.000` prefix bytes of the fixed notation below 1.
-_POINT = np.array([0, 17, 17, 17, 17, *range(17), 0], dtype=np.uint8)
-_PREFIX = np.zeros((5, 23), dtype=np.uint8)
-_PREFIX[:, 1:5] = np.frombuffer(b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", np.uint8).reshape(4, 5).T
 # The most cells a solution body may hold: (grid_M + 1) rows of 1 + 2^n cells,
 # with (grid_M + 1) * 2^n <= MAX_GRID_CELLS, so eval allocates no more.
 _MAX_BODY_CELLS = 2 * MAX_GRID_CELLS
@@ -73,11 +72,16 @@ _MAX_BODY_CELLS = 2 * MAX_GRID_CELLS
 # of x and the two blades of n = 1, all 24-byte floats, is 138 bytes; other n take fewer.
 _JSON_CELL_BYTES = 46
 # The CSV reader takes the body in reads of this many bytes, cut back to the last row end.
-# A worker's arrays for one chunk take about 12x its bytes, so this bounds the reader's memory.
+# A worker's buffers take about 12x the largest chunk's bytes, so this bounds the reader's memory.
 _CHUNK_BYTES = 1 << 18
+# Cells per gather of their mantissa bytes: the gather's 24-byte-a-cell result, 96 KiB,
+# stays below glibc's usual 128 KiB mmap threshold, so it reuses freed heap memory.
+_GATHER = 1 << 12
 # Bytes before each chunk: '0's, then an LF that starts its first row, so that
 # the three 8-byte loads ending at a mantissa's last digit stay in the buffer.
 _PAD = 24
+# The most tokens a cell of `_GRAMMAR` holds: sign, dot, `e`, exponent sign and its end.
+_MAX_TOKENS = 5
 # Token classes of the bytes that are not digits: any other byte is _BAD.
 _SEP, _CR, _LF, _NEG, _DOT, _EXP, _SIGN, _BAD = range(8)
 _TOKEN = np.full(256, _BAD, np.uint8)
@@ -148,6 +152,26 @@ def _resolve_output(args, setup: ProblemSetup, fmt: str) -> Path:
     return path
 
 
+def _finite_plan(setup: ProblemSetup, masks):
+    """The command's one operator plan, with q rows for `masks`; ConfigError, naming
+    q[i] or s[i] for the tile i of the first grid point, where its q or s values are not finite.
+
+    No gate reads q, and a field may overflow on the grid: such values would
+    reach the solve or the probe as inf or nan.
+    """
+    params, grid_m = setup.params, setup.config.grid_m
+    plan = params._plan(grid_m, masks)
+    finite = np.isfinite(plan.s_vals)
+    finite &= np.isfinite(plan.q_vals).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite))  # the first grid point with a value that is not finite
+        tiles = params.partition.tile_ranges(params.partition.grid(grid_m))
+        i = next(i for i, rows in enumerate(tiles) if j < rows.stop)
+        name = "s" if not math.isfinite(plan.s_vals[j]) else "q"
+        raise ConfigError(f"{name}[{i}]", "values not finite on the grid")
+    return plan
+
+
 def _config_probe(plan, cfg) -> float:
     """The seeded random contraction probe of the problem's operator, on its plan.
 
@@ -175,7 +199,7 @@ def _cmd_solve(args) -> int:
     fmt = args.format or (cfg.output or {}).get("format") or "csv"
     out_path = _resolve_output(args, setup, fmt)
 
-    plan = params._plan(cfg.grid_m, params.support)
+    plan = _finite_plan(setup, params.support)
     try:
         result = _clifford_fixed_point(params, plan, cfg.tol, cfg.max_iter)
     except ConvergenceError as exc:
@@ -218,19 +242,28 @@ def _write_solution(
     floats are `float.__repr__`, the `%r` of a Python float; each block is one
     row template applied with `%`.
     """
+    ncol = 1 + len(columns)
     cap = _CELL_CAP // _pool._cpus() if fmt == "csv" else _CELL_CAP
-    step = max(1, cap // (1 + len(columns)))
+    step = max(1, min(cap // ncol, len(xs)))
     starts = range(0, len(xs), step)
 
-    def block(lo: int) -> np.ndarray:
-        return np.column_stack([xs[lo : lo + step], *(col[lo : lo + step] for col in columns)])
+    def block(lo: int, out: np.ndarray | None = None) -> np.ndarray:
+        return np.stack([xs[lo : lo + step], *(col[lo : lo + step] for col in columns)], axis=1, out=out)
 
     if fmt == "csv":
         header = io.StringIO()
         csv.writer(header).writerow(["x", *names])
+
+        def write(lo: int, scratch: _CsvScratch) -> bytes:
+            rows = min(step, len(xs) - lo)
+            return _csv_block(block(lo, scratch.cells[: rows * ncol].reshape(rows, ncol)), scratch)
+
+        # Every block but the last has `step` rows, so a set made for the last serves no other.
+        scratch = _with_scratch(write, lambda lo: _CsvScratch(min(step, len(xs) - lo) * ncol))
+        blocks = _pool.ordered_map(scratch, starts, len(starts))
         with open(path, "wb") as fh:
             fh.write(header.getvalue().encode())
-            fh.writelines(_pool.ordered_map(lambda lo: _csv_block(block(lo)), starts, len(starts)))
+            fh.writelines(blocks)
         return
     if names == ["value"]:
         row = '  {\n    "x": %r,\n    "value": %r\n  }'
@@ -263,7 +296,79 @@ def _pow10() -> np.ndarray:
     return table
 
 
-def _csv_block(cells: np.ndarray) -> bytes:
+class _CsvScratch:
+    """One worker's arrays for CSV blocks of up to `cells` cells (see `_csv_block`), 116 bytes a cell.
+
+    `cells` holds a block's cells for `_write_solution`; the others are the
+    kernel's, each reused for more than one purpose as its steps go on.
+    """
+
+    def __init__(self, cells: int):
+        self.cells = np.empty(cells)
+        self.exp = np.empty(cells, np.intp)
+        self.prod = np.empty(16 * cells, np.uint8)
+        self.work = np.empty(2 * cells, np.uint64)
+        self.flags = np.empty((4, cells), bool)
+        self.slots = np.empty((cells, 4), "<u8")
+        self.keep = np.empty(32 * cells, bool)
+
+
+def _with_scratch(fn, make):
+    """fn(block, scratch) as a function of the block alone, for `_pool.ordered_map`.
+
+    Each call takes a spare scratch set, or makes one with make(block), and
+    puts it back when it returns.  Calls that run at the same time hold
+    different sets, so w workers make at most w sets, which live as long as
+    the function.  A set made for a block must hold every later block.
+    """
+    spare = []
+
+    def call(block):
+        scratch = spare.pop() if spare else make(block)
+        try:
+            return fn(block, scratch)
+        finally:
+            spare.append(scratch)
+
+    return call
+
+
+def _layout_masks() -> np.ndarray:
+    """Per layout class (a column each, see `_csv_block`), words that lay out a cell's slot.
+
+    Rows: the `0.000` prefix in word 0; for digit words 1 and 2 in turn, the
+    bytes before the point (kept in place), the bytes after it (moved one
+    on), the 0x80 flag of the point's byte and the 0x80 flags of the integer
+    digits; last, 0xFF where the point moves digit 16 into word 3.
+    """
+    ones, flags = 2**64 - 1, 0x8080808080808080
+
+    def before(t):  # the bytes of a word before byte t
+        return (1 << 8 * min(max(t, 0), 8)) - 1
+
+    table = np.zeros((10, 23), np.uint64)
+    for cls in range(23):
+        # The digit the point follows, where the digits hold the point.
+        point = 0 if cls in (0, 22) else cls - 5 if 5 <= cls <= 20 else None
+        if 1 <= cls <= 4:
+            table[0, cls] = int.from_bytes(b"\0" + b"0.000"[: 6 - cls], "little")
+        for word in range(2):
+            kept, moved, dot = ones, 0, 0
+            if point is not None:
+                t = point - 8 * word
+                kept, moved, dot = before(t), ones ^ before(t + 1), 0x80 << 8 * t if 0 <= t < 8 else 0
+            table[[1 + word, 3 + word, 5 + word, 7 + word], cls] = kept, moved, dot, 0 if 1 <= cls <= 4 else kept & flags
+        table[9, cls] = 0 if point is None else 0xFF
+    table.flags.writeable = False
+    return table
+
+
+_LAYOUT = _layout_masks()
+# Word 3's separator bytes: `,` after a cell, CRLF after a row's last.
+_CELL_END, _ROW_END = np.uint64(0x2C << 48), np.uint64(0x0A0D << 48)
+
+
+def _csv_block(cells: np.ndarray, scratch: _CsvScratch | None = None) -> bytes:
     """CSV rows of a (rows, cols) block: `'%.17g'` cells, `,` between, CRLF after each row.
 
     Digits: with e = floor(log10|v|), stepped until 10^16 <= s < 10^17, the
@@ -278,103 +383,151 @@ def _csv_block(cells: np.ndarray) -> bytes:
 
     Layout follows `%g` on the rounded exponent: fixed notation for
     exponents -4..16, else `e+XX`/`e-XX`, trailing zeros and a bare point
-    dropped, `-0` kept.  The rows of one byte matrix are the byte positions
-    of every cell: sign, the `0.000` prefix, 17 digit slots with one point
-    slot, exponent, separators.  Zero bytes are padding, removed at the end.
+    dropped, `-0` kept.  Each cell is a slot of four little-endian words:
+    the sign, the `0.000` prefix and the leading digit; digits 1-8 and 9-16,
+    one byte each, made from their integers by a SWAR step (the reverse of
+    the reader's); the exponent and the separator.  Where the digits hold the
+    point, the digits after it move one byte on, digit 16 into word 3.  Zero
+    bytes are padding, dropped at the end.  Every block-sized array is one of
+    `scratch`'s, which must hold the block; without one the call makes its own.
     """
     rows, ncol = cells.shape
     v = cells.ravel()
     if not _EXTENDED:
         return ("".join([",".join(["%.17g"] * ncol) + "\r\n"] * rows) % tuple(v.tolist())).encode()
     n = v.size
-    a = np.abs(v)
-    ok = np.isfinite(a)
-    nonzero = ok & (a != 0)
-    a[~nonzero] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int16)
+    sc = scratch or _CsvScratch(n)
+    work = sc.work[: 2 * n].reshape(2, n)
+    d, a = work[0], work[1].view(np.float64)
+    e = sc.exp[:n]
+    s = sc.prod[: n * np.dtype(np.longdouble).itemsize].view(np.longdouble)
+    ok, nonzero, up, flag = sc.flags[:, :n]
+    slots, keep = sc.slots[:n], sc.keep[: 32 * n]
+    frac, index = keep[: 4 * n].view(np.float32), keep[8 * n : 16 * n].view(np.intp)
+
+    np.abs(v, out=a)
+    np.isfinite(a, out=ok)
+    np.not_equal(a, 0, out=nonzero)
+    nonzero &= ok
+    np.logical_not(nonzero, out=flag)
+    np.copyto(a, 1.0, where=flag)
+    np.log10(a, out=d.view(np.float64))
+    np.floor(d.view(np.float64), out=d.view(np.float64))
+    np.copyto(e, d.view(np.float64), casting="unsafe")
     pow10 = _pow10()
-    s = a.astype(np.longdouble) * pow10[376 - e]
-    d = s.astype(np.uint64)
+    np.subtract(376, e, out=index)
+    np.take(pow10, index, out=s, mode="clip")
+    s *= a
+    np.copyto(d, s, casting="unsafe")
     fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
     e[fix] += np.where(d[fix] < 10**16, -1, 1)
     s[fix] = a[fix].astype(np.longdouble) * pow10[376 - e[fix]]
     d[fix] = s[fix].astype(np.uint64)
-    frac = np.subtract(s, d, out=s).astype(np.float32)
-    up = frac > 0.5
-    near = np.flatnonzero(np.abs(frac - 0.5) <= 0.011)
-    near = near[np.abs(frac[near] - 0.5) <= d[near] * 1.1e-19]
+    np.subtract(s, d, out=s)
+    np.copyto(frac, s, casting="unsafe")
+    np.greater(frac, 0.5, out=up)
+    frac -= 0.5  # from here on |frac - 1/2|
+    np.abs(frac, out=frac)
+    np.less_equal(frac, 0.011, out=flag)
+    near = np.flatnonzero(flag)
+    near = near[frac[near] <= d[near] * 1.1e-19]
     k = 16 - e[near]
     odd = a[near].view(np.uint64) & np.uint64(2**52 - 1) | np.uint64(2**52)
     odd >>= np.bitwise_count((odd & (~odd + np.uint64(1))) - np.uint64(1))
     exact = (k >= 0) & (k <= 27) & (odd <= _EXACT_LIMIT[np.clip(k, 0, 27)])
-    up[near] |= exact & (frac[near] == 0.5) & (d[near] % 2 == 1)
+    up[near] |= exact & (frac[near] == 0) & (d[near] % 2 == 1)
     ok[near[~exact]] = False
     d += up
-    carry = d == 10**17
-    d[carry] = 10**16
-    e += carry
-    d[~nonzero] = 0
-    e[~nonzero] = 0
+    np.equal(d, 10**17, out=flag)
+    np.copyto(d, 10**16, where=flag)
+    e += flag
+    np.logical_not(nonzero, out=flag)
+    np.copyto(d, 0, where=flag)
+    np.copyto(e, 0, where=flag)
 
-    # Row 0 is the leading digit; rows 1-16 come from two eight-digit halves,
-    # split into four-digit groups, then into pairs of digits.
-    digits = np.empty((17, n), np.uint8)
-    head = d // 10**8
-    halves = np.empty((2, n), np.uint32)
-    halves[1] = d - head * 10**8
-    digits[0] = head // 10**8
-    halves[0] = head - digits[0] * np.uint64(10**8)
-    groups = np.empty((4, n), np.uint16)
-    q = halves // 10**4
-    groups[0::2] = q
-    groups[1::2] = halves - q * 10**4
-    pairs = np.empty((8, n), np.uint8)
-    q = groups // 100
-    pairs[0::2] = q
-    pairs[1::2] = groups - q * 100
-    q = pairs // 10
-    digits[1::2] = q
-    digits[2::2] = pairs - q * 10
+    # The exponent bytes of the cells in scientific notation.
+    sci = np.flatnonzero((e < -4) | (e > 16))
+    x = abs(e[sci])
+    exponent = np.where(e[sci] < 0, 0x2D6500, 0x2B6500) + np.where(x >= 100, 48 + x // 100 << 24, 0)
+    exponent += (48 + x // 10 % 10 << 32) + (48 + x % 10 << 40)
     # Layout class: exponent -5 or below, -4..16 (fixed), 17 or above.
-    cls = np.clip(e, -5, 17) + 5
-    point = _POINT[cls]
-    # Trailing zeros after the point become padding; `last` is the last digit kept.
-    whole = np.where(point < 17, point, 0)
-    live = np.zeros(n, bool)
-    last = np.zeros(n, np.uint8)
-    for p in range(16, 0, -1):
-        live |= (digits[p] != 0) | (whole >= p)
-        last += live
-        digits[p] += 48 * live.view(np.uint8)
-    digits[0] += 48
-    sci = np.flatnonzero((cls == 0) | (cls == 22))
-    # Rows: sign, prefix, 18 digit and point slots, exponent (if any cell needs one), separators.
-    matrix = np.empty((26 + 5 * bool(sci.size), n), np.uint8)
-    matrix[0] = np.signbit(v) * np.uint8(45)
-    matrix[1:6] = np.take(_PREFIX, cls, axis=1)
-    # Digit p sits in slot p up to the point, in slot p + 1 after it.
-    before = np.negative((point >= np.arange(1, 18, dtype=np.uint8)[:, None]).view(np.uint8))
-    matrix[6] = digits[0]
-    matrix[7:23] = digits[:16] ^ (digits[:16] ^ digits[1:]) & before[:16]
-    matrix[23] = digits[16] & ~before[16]
-    matrix[24:-2] = 0
-    matrix.reshape(-1)[(7 + point.astype(np.intp)) * n + np.arange(n)] = (last > point) * np.uint8(46)
-    if sci.size:
-        x = e[sci]
-        matrix[24, sci] = 101
-        matrix[25, sci] = np.where(x < 0, 45, 43)
-        matrix[26, sci] = np.where(abs(x) >= 100, 48 + abs(x) // 100, 0)
-        matrix[27, sci] = 48 + abs(x) // 10 % 10
-        matrix[28, sci] = 48 + abs(x) % 10
-    sep = np.zeros((2, ncol), np.uint8)
-    sep[0] = 44
-    sep[:, -1] = 13, 10
-    matrix[-2:] = np.tile(sep, rows)
+    cls = e
+    np.clip(cls, -5, 17, out=cls)
+    cls += 5
+
+    # Word 0; then digits 1-8 and 9-16 as two integers below 10^8.
+    w = s.view(np.uint64)[: 2 * n].reshape(2, n)
+    t, u = keep.view(np.uint64).reshape(2, 2, n)
+    np.floor_divide(d, 10**8, out=w[0])
+    np.multiply(w[0], 10**8, out=w[1])
+    np.subtract(d, w[1], out=w[1])
+    np.floor_divide(w[0], 10**8, out=d)
+    np.multiply(d, 10**8, out=t[0])
+    w[0] -= t[0]
+    d += 48
+    d <<= 56
+    np.signbit(v, out=flag)
+    np.bitwise_or(d, 45, out=d, where=flag)
+    np.take(_LAYOUT[0], cls, out=t[0], mode="clip")
+    np.bitwise_or(d, t[0], out=slots[:, 0])
+    # Each integer to 8 digit bytes, the first in the lowest: into 4-digit
+    # halves, then in each half's lane into 2-digit quarters, then into digits.
+    np.floor_divide(w, 10**4, out=t)
+    np.multiply(t, 10**4, out=u)
+    w -= u
+    w <<= 32
+    w |= t
+    for scale, magic, shift, lanes, width in ((100, 5243, 19, 0x0000007F0000007F, 16), (10, 103, 10, 0x000F000F000F000F, 8)):
+        # (x * magic) >> shift is x // scale for every x in a lane.
+        np.multiply(w, magic, out=t)
+        t >>= shift
+        t &= lanes
+        np.multiply(t, scale, out=u)
+        w -= u
+        w <<= width
+        w |= t
+    # Live digits, flagged 0x80: up to the last nonzero digit, and those before the point.
+    np.add(w, 0x7F7F7F7F7F7F7F7F, out=t)
+    t &= 0x8080808080808080
+    np.not_equal(w[1], 0, out=flag)
+    np.bitwise_or(t[0], 1 << 63, out=t[0], where=flag)
+    for shift in (8, 16, 32):
+        np.right_shift(t, shift, out=u)
+        t |= u
+    np.take(_LAYOUT[7:9], cls, axis=1, out=work, mode="clip")
+    t |= work
+    # The point, where the digit after it is live; then the live digits in ASCII.
+    np.take(_LAYOUT[5:7], cls, axis=1, out=u, mode="clip")
+    u &= t
+    u >>= 7
+    u *= 0x2E
+    t >>= 7
+    t *= 0x30
+    w += t
+    # Words 1 and 2: the bytes before the point, the point, the bytes after it moved one on.
+    np.take(_LAYOUT[1:3], cls, axis=1, out=work, mode="clip")
+    work &= w
+    u |= work
+    np.left_shift(w, 8, out=t)
+    np.right_shift(w[0], 56, out=work[0])
+    t[1] |= work[0]
+    np.right_shift(w[1], 56, out=work[0])
+    np.take(_LAYOUT[9], cls, out=work[1], mode="clip")
+    work[0] &= work[1]
+    np.bitwise_or(work[0], _CELL_END, out=slots[:, 3])
+    slots[ncol - 1 :: ncol, 3] ^= _CELL_END ^ _ROW_END
+    slots[sci, 3] |= exponent.astype(np.uint64)
+    np.take(_LAYOUT[3:5], cls, axis=1, out=work, mode="clip")
+    t &= work
+    np.bitwise_or(u, t, out=slots[:, 1:3].T)
+
     bad = np.flatnonzero(~ok)
     text = np.array([b"%.17g" % x for x in v[bad].tolist()], dtype="S24")
-    matrix[:24, bad] = text.view(np.uint8).reshape(-1, 24).T
-    matrix[24:-2, bad] = 0
-    return matrix.tobytes("F").translate(None, b"\0")
+    slots[bad, :3] = text.view("<u8").reshape(-1, 3)
+    slots[bad, 3] &= np.uint64(0xFFFF << 48)
+    raw = slots.view(np.uint8).reshape(-1)
+    np.not_equal(raw, 0, out=keep)
+    return raw[keep].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +558,12 @@ def _cmd_check(args) -> int:
     configured = gamma_gate(cfg.space, params)
 
     if not args.quiet:
+        # The probe reads no q row above n = 0, so the plan holds none.
+        plan = _finite_plan(setup, params.support if cfg.n == 0 else ())
         print(f"{'space':<28} {'gamma':<24} contraction")
         for spec in _report_spaces(cfg.space):
             value = gamma_gate(spec, params)
             print(f"{_space_label(spec):<28} {_fmt(value):<24} {'yes' if value < 1 else 'NO'}")
-        # The probe reads no q row above n = 0, so the plan holds none.
-        plan = params._plan(cfg.grid_m, params.support if cfg.n == 0 else ())
         print(f"{'empirical (sup norm)':<28} {_fmt(_config_probe(plan, cfg))}")
     verdict = "passes" if configured < 1.0 else "FAILS"
     print(f"configured {_space_label(cfg.space)}: gamma = {_fmt(configured)} ({verdict})")
@@ -505,7 +658,9 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
     A first pass counts the rows and cuts the body into chunks of about
     `_CHUNK_BYTES` that end at a row end; the second parses the chunks into
     one preallocated matrix, on one thread per CPU (`_pool.ordered_map`), with at
-    most two chunks per worker read and not yet parsed.
+    most two chunks per worker read and not yet parsed.  The chunks are read
+    into a ring of that many buffers, and each worker parses in one set of
+    scratch arrays; all are sized for the largest chunk, once per call.
     Returns None, for np.loadtxt to read the file, when the body is empty,
     does not end in a row end, runs on for 1 MiB past the last row end read
     (so no chunk passes `_CHUNK_BYTES` + 1 MiB), or holds a byte, a cell or
@@ -530,28 +685,56 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
             return None
         _check_body_cells(rows[-1], ncol)
         out = np.empty((rows[-1], ncol))
+        count = len(cuts) - 1
+        size = _PAD + int(np.diff(cuts).max())
+        most = int(np.diff(rows).max())  # rows in a chunk
+        # The map takes at most 2 * workers chunks that it has not yet yielded,
+        # so the chunk that last used a ring buffer has been parsed.
+        ring = [np.empty(size, np.uint8) for _ in range(2 * min(_pool._cpus(), count))]
 
         def chunks():
             fh.seek(offset)
-            for i in range(len(cuts) - 1):
-                buf = np.empty(_PAD + cuts[i + 1] - cuts[i], np.uint8)
+            for i in range(count):
+                buf = ring[i % len(ring)][: _PAD + cuts[i + 1] - cuts[i]]
                 buf[: _PAD - 1] = 48
                 buf[_PAD - 1] = 10
                 # A file that shrank since the count leaves _BAD zero bytes, which fail the parse.
                 buf[_PAD + fh.readinto(buf[_PAD:]) :] = 0
                 yield buf, out[rows[i] : rows[i + 1]]
 
-        parsed = _pool.ordered_map(lambda chunk: _parse_chunk(*chunk, signed_pow10), chunks(), len(cuts) - 1)
-        return out if all(parsed) else None
+        parse = _with_scratch(
+            lambda chunk, scratch: _parse_chunk(*chunk, signed_pow10, scratch), lambda _: _ParseScratch(size, most, ncol)
+        )
+        return out if all(_pool.ordered_map(parse, chunks(), count)) else None
 
 
-def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray) -> bool:
+class _ParseScratch:
+    """One worker's arrays for chunks of up to `size` bytes, pad included, and `rows` rows of `ncol` cells.
+
+    A byte a byte of chunk (its flags), a byte a token (its class) for the
+    most tokens such rows may hold (see `_parse_chunk`), and 111 bytes a
+    cell; the tokens' grammar codes take the cells' integers.
+    """
+
+    def __init__(self, size: int, rows: int, ncol: int):
+        cells = rows * ncol
+        self.flags = np.empty(size, bool)
+        self.tok = np.empty(_MAX_TOKENS * cells + rows + 1, np.uint8)
+        # Seven integers a cell; with rows <= cells, also room for a code a token.
+        self.ints = np.empty((7, cells), np.intp)
+        self.bits = np.empty((6, cells), bool)
+        self.small = np.empty(cells, np.uint8)
+        self.groups = np.empty(cells, "V24")
+        self.wide = np.empty(max(np.dtype(np.longdouble).itemsize, 24) * cells, np.uint8)
+
+
+def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, scratch: _ParseScratch | None = None) -> bool:
     """Parse the rows in buf[_PAD:] into dest; False, with dest partly written, off the grammar.
 
     Tokens are the bytes that are not digits, from the LF at buf[_PAD - 1] on;
     `_GRAMMAR` checks each against the one before it and the digits between.
-    A cell's mantissa `m` is its digits without the dot: a copy of the chunk
-    moves the integer digits one byte right, over the dot, and three
+    A cell's mantissa `m` is its digits without the dot: the integer digits
+    move one byte right, over the dot, in `buf`, and three
     unaligned little-endian uint64 loads ending at the last digit take 24
     bytes, masked to the digits by `_KEEP`.  Lemire's SWAR step turns each
     load's 8 digit bytes into their value.  With k = exponent - fraction
@@ -561,65 +744,107 @@ def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray) ->
     float64, so does the exact value: that float64 is the cell, subnormal and
     overflowing results included.  Cells whose bracket straddles a rounding
     midpoint, mantissas past 19 significant digits or 24 digits, and |k| past
-    the table's 360 go through `float(cell)`.
+    the table's 360 go through `float(cell)`, with the dot put back.  The
+    arrays the size of the chunk or of its cells are `scratch`'s, which must
+    hold them; without one the call makes its own.
     """
+    sc = scratch or _ParseScratch(buf.size, *dest.shape)
     # Numpy keeps errstate per thread: a pool thread does not see the caller's.
     with np.errstate(all="ignore"):
         text = buf[_PAD - 1 :]
-        pos = np.flatnonzero(text - np.uint8(48) > 9)
-        tok = _TOKEN[text[pos]]
-        exp = np.flatnonzero(tok == _EXP)
+        flag = sc.flags[: text.size]
+        np.subtract(text, 48, out=flag.view(np.uint8))
+        np.greater(flag.view(np.uint8), 9, out=flag)
+        pos = np.flatnonzero(flag)
+        if pos.size > sc.tok.size:  # more tokens than the grammar allows rows of this chunk's size
+            return False
+        tok, code = sc.tok[: pos.size], sc.ints.reshape(-1)[: pos.size]
+        np.take(text, pos, out=tok, mode="clip")
+        np.copyto(code, tok)
+        np.take(_TOKEN, code, out=tok, mode="clip")
+        exp = np.flatnonzero(np.equal(tok, _EXP, out=flag[: tok.size]))
         tok[exp[tok[exp + 1] == _NEG] + 1] = _SIGN  # 'e' is never last: a chunk ends with LF
-        code = np.diff(pos)  # digits between two tokens, plus one
+        code = code[:-1]
+        np.subtract(pos[1:], pos[:-1], out=code)  # digits between two tokens, plus one
         np.minimum(code, 5, out=code)
         code *= 8
         code += tok[:-1]
         code *= 8
         code += tok[1:]
-        if not _GRAMMAR[code].all():
+        if not np.take(_GRAMMAR, code, out=flag[: code.size], mode="clip").all():
             return False
-        ends = np.flatnonzero(tok <= _CR)
+        ends = np.flatnonzero(np.less_equal(tok, _CR, out=flag[: tok.size]))
         rows, ncol = dest.shape
-        is_cr = tok[ends] == _CR
-        if ends.size != dest.size or np.count_nonzero(is_cr) != rows or not is_cr[ncol - 1 :: ncol].all():
+        n = ends.size
+        if n != dest.size:
+            return False
+        lead, tmp, mant, mant_end, dot, ndig, index = sc.ints[:, :n]
+        is_cr, neg, has_exp, has_dot, moved, slow = sc.bits[:, :n]
+        small = sc.small[:n]
+        np.equal(np.take(tok, ends, out=small, mode="clip"), _CR, out=is_cr)
+        if np.count_nonzero(is_cr) != rows or not is_cr[ncol - 1 :: ncol].all():
             return False
 
         # Per cell: the token before it (`,` or LF), its sign, where its mantissa
         # ends, its dot, its digit and fraction digit counts and its table index 360 + k.
-        lead = np.empty_like(ends)
         lead[0] = 0
         np.add(ends[:-1], is_cr[:-1], out=lead[1:])
-        neg = tok[lead + 1] == _NEG
-        has_exp = tok[ends - 1] == _SIGN
-        mant = ends - 2 * has_exp
-        mant_end = pos[mant]
-        has_dot = tok[mant - 1] == _DOT
-        dot = pos[mant - 1]
-        ndig = mant_end - pos[lead] - 1
+        np.add(lead, 1, out=tmp)
+        np.equal(np.take(tok, tmp, out=small, mode="clip"), _NEG, out=neg)
+        np.subtract(ends, 1, out=tmp)
+        np.equal(np.take(tok, tmp, out=small, mode="clip"), _SIGN, out=has_exp)
+        np.subtract(ends, has_exp, out=mant)
+        mant -= has_exp
+        np.take(pos, mant, out=mant_end, mode="clip")
+        np.subtract(mant, 1, out=tmp)
+        np.equal(np.take(tok, tmp, out=small, mode="clip"), _DOT, out=has_dot)
+        np.take(pos, tmp, out=dot, mode="clip")
+        np.take(pos, lead, out=ndig, mode="clip")
+        np.subtract(mant_end, ndig, out=ndig)
+        ndig -= 1
         ndig -= neg
         ndig -= has_dot
-        frac = (mant_end - dot - 1) * has_dot
-        index = 360 - frac
+        # The fraction digits, those after the dot, as -(their count); then the integer digits.
+        np.subtract(dot, mant_end, out=index)
+        index += 1
+        index *= has_dot
+        np.add(ndig, index, out=mant)
+        index += 360
         at = pos[ends[has_exp] - 2]
         d = text[at[:, None] + [2, 3, 4]].astype(np.int64) - 48
         value = np.where(pos[ends[has_exp]] - at == 4, d[:, 0] * 10 + d[:, 1], (d[:, 0] * 10 + d[:, 1]) * 10 + d[:, 2])
         index[has_exp] += np.where(text[at + 1] == 45, -value, value)
 
-        # Move each integer part one byte right, over its dot, in a copy.
-        digits = buf.copy()
-        moved = np.flatnonzero(has_dot & (ndig <= 24))
-        src = dot[moved] + (_PAD - 1)
-        width = (ndig - frac)[moved]  # integer digits
-        while src.size:
-            digits[src] = digits[src - 1]
-            more = width > 1
-            src, width = src[more] - 1, width[more] - 1
+        # Move each integer part one byte right, over its dot: `moved` marks the
+        # cells moved, `mant` counts their digits left to move, and `tmp` is the
+        # byte a digit moves to, or 1, in the pad, where the move changes nothing.
+        np.less_equal(ndig, 24, out=moved)
+        moved &= has_dot
+        mant *= moved
+        np.add(dot, _PAD - 1, out=tmp)
+        while True:
+            np.greater(mant, 0, out=slow)
+            if not slow.any():
+                break
+            np.copyto(tmp, 1, where=np.logical_not(slow, out=is_cr))
+            tmp -= 1
+            np.take(buf, tmp, out=small, mode="clip")
+            tmp += 1
+            np.put(buf, tmp, small, mode="clip")
+            tmp -= 1
+            mant -= 1
 
         # The 24 bytes ending at the last digit, as groups 2, 1, 0 of 8 digits;
         # byte t of group g is digit 8g+7-t from the right.
-        rows24 = np.ndarray((digits.size - 23,), "V24", digits, 0, (1,))
-        groups = rows24[mant_end + (_PAD - 25)].view("<u8").reshape(-1, 3)
-        groups &= _KEEP[np.minimum(ndig, 24)].view("<u8").reshape(-1, 3)
+        rows24 = np.ndarray((buf.size - 23,), "V24", buf, 0, (1,))
+        np.add(mant_end, _PAD - 25, out=tmp)
+        groups = sc.groups[:n]
+        for lo in range(0, n, _GATHER):
+            groups[lo : lo + _GATHER] = rows24[tmp[lo : lo + _GATHER]]
+        groups = groups.view("<u8").reshape(-1, 3)
+        np.minimum(ndig, 24, out=tmp)
+        keep = sc.wide[: 24 * n].view("V24")
+        groups &= np.take(_KEEP, tmp, out=keep, mode="clip").view("<u8").reshape(-1, 3)
         groups *= 2561
         groups >>= 8
         groups &= 0x00FF00FF00FF00FF
@@ -628,20 +853,34 @@ def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray) ->
         groups &= 0x0000FFFF0000FFFF
         groups *= 42949672960001
         groups >>= 32
-        slow = (ndig > 24) | (groups[:, 0] >= 1000) | (index.view(np.uint64) > 720)
-        m = groups[:, 2] + groups[:, 1] * 10**8 + groups[:, 0] * 10**16
+        np.greater(ndig, 24, out=slow)
+        slow |= groups[:, 0] >= 1000
+        slow |= index.view(np.uint64) > 720
+        m = groups[:, 2]
+        groups[:, 1] *= 10**8
+        m += groups[:, 1]
+        groups[:, 0] *= 10**16
+        m += groups[:, 0]
 
-        r = m.astype(np.longdouble)
+        r = sc.wide[: n * np.dtype(np.longdouble).itemsize].view(np.longdouble)
+        np.copyto(r, m)
+        p = sc.groups[:n].view(np.uint8)[: r.nbytes].view(np.longdouble)  # the groups are read
         np.clip(index, 0, 720, out=index)
         index *= 2
         index += neg
-        r *= signed_pow10[index]
+        r *= np.take(signed_pow10, index, out=p, mode="clip")
         flat = dest.reshape(-1)
-        flat[...] = r * _INNER
+        np.copyto(flat, np.multiply(r, _INNER, out=p), casting="unsafe")
         r *= _OUTER
-        slow |= flat != r.astype(np.float64)
+        np.copyto(tmp.view(np.float64), r, casting="unsafe")
+        slow |= np.not_equal(flat, tmp.view(np.float64), out=is_cr)
         for i in np.flatnonzero(slow).tolist():
-            flat[i] = float(text[pos[lead[i]] + 1 : pos[ends[i]]].tobytes())
+            a, b = pos[lead[i]] + 1, pos[ends[i]]
+            cell = text[a:b].tobytes()
+            if moved[i]:  # the integer digits go back before the dot
+                first, at = int(neg[i]), dot[i] - a
+                cell = cell[:first] + cell[first + 1 : at + 1] + b"." + cell[at + 1 :]
+            flat[i] = float(cell)
     return True
 
 

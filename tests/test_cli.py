@@ -658,6 +658,26 @@ def test_csv_writer_matches_the_reference_writer_and_reads_back(tmp_path, names)
         assert np.array_equal(np.signbit(data[:, k]), np.signbit(col))
 
 
+# Cells that fill a wide slot: exponents, signs, both zeros and the Python fallback.
+WIDE_CELLS = [-1.2345678901234567e-300, 9.876543210987654e300, -0.0, float("nan"), -float("inf"), -123456.78901234567]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("names", [["value"], ["", "1", "2", "12"]], ids=["scalar", "n2"])
+def test_reused_writer_buffers_leave_no_stale_bytes(tmp_path, monkeypatch, names, cpus):
+    """Full blocks of wide cells, then a shorter last block of plain ones: each worker
+    fills the same buffers block after block, and no byte of an earlier block shows."""
+    monkeypatch.setattr(cli, "_CELL_CAP", 64 * cpus)
+    monkeypatch.setattr(_pool, "_cpus", lambda: cpus)
+    step = 64 // (1 + len(names))
+    wide = 3 * cpus * step
+    xs = np.concatenate([np.resize(WIDE_CELLS, wide), np.arange(step // 2) / 4])
+    columns = [np.concatenate([np.resize(WIDE_CELLS[k:] + WIDE_CELLS[:k], wide), np.full(step // 2, 0.5)]) for k in range(len(names))]
+    cli._write_solution(tmp_path / "fast.csv", "csv", xs, names, columns)
+    _reference_csv(tmp_path / "reference.csv", xs, names, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 @pytest.mark.parametrize("names", [["value"], ["", "1", "2", "12"]], ids=["scalar", "n2"])
 def test_json_writer_matches_one_json_dumps(tmp_path, names):
     xs, columns = _solution_columns(len(names))

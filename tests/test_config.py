@@ -402,14 +402,18 @@ def test_mutated_configs_end_in_a_config_error_or_an_exit_code(tmp_path_factory,
         path = tmp_path_factory.mktemp("mutant") / "problem.json"
         path.write_text(json.dumps(raw))  # keys that are not strings become strings
         for argv in (["check", str(path)], ["solve", str(path), "--output", str(path.with_suffix(".csv"))]):
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert main(argv) in (0, 1, 2, 3)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            # A check that passes printed no value that is not a number.
+            assert code != 0 or argv[0] != "check" or "nan" not in out.getvalue()
 
 
 def test_overflowing_fields_end_in_exits_without_warnings(tmp_path, capsys):
-    # The q polynomial overflows on the grid: no gate reads q, so check passes and prints
-    # the probe's nan, and solve stops on the first step.  The sampled multiplier's
-    # pullback overflows on the interpolating grid.
+    # The q polynomial overflows on the grid, and the sampled multiplier's pullback
+    # on the interpolating grid: the plan refuses both, naming the field, before
+    # the probe could print nan.  The multiplier's gate fails first in a solve.
     runs = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -419,15 +423,11 @@ def test_overflowing_fields_end_in_exits_without_warnings(tmp_path, capsys):
             runs[name, "check"] = main(["check", str(config)]), capsys.readouterr()
             solve = ["solve", str(config), "--quiet", "--output", str(tmp_path / "out.csv")]
             runs[name, "solve"] = main(solve), capsys.readouterr()
-    code, captured = runs["poly", "check"]
-    assert code == 0 and "empirical (sup norm)         nan\n" in captured.out
-    code, captured = runs["poly", "solve"]
-    assert code == 3
-    assert captured.err == (
-        "component 'scalar': no convergence: step 1 = inf overflows (rho_1 = 5.000e-01)\n"
-    )
+    for command in ("check", "solve"):
+        code, captured = runs["poly", command]
+        assert (code, captured.out, captured.err) == (2, "", "config error: q[0]: values not finite on the grid\n")
     code, captured = runs["samples", "check"]
-    assert code == 1 and "configured Ck(k=0): gamma = 1.3333333333333333e+308 (FAILS)" in captured.out
+    assert (code, captured.out, captured.err) == (2, "", "config error: s[1]: values not finite on the grid\n")
     assert runs["samples", "solve"][0] == 3
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifract import cli
+from clifract import _pool, cli
 
 EXTENDED = pytest.mark.skipif(not cli._EXTENDED, reason="np.longdouble has no 64-bit significand")
 
@@ -204,6 +204,41 @@ def test_reader_matches_loadtxt_on_whole_files(tmp_path, ncol):
     got = cli._read_csv_body(path, header, ncol)
     want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert got.shape == want.shape == (xs.size, ncol)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@EXTENDED
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("off_grammar", [False, True], ids=["falling", "falling-off-grammar"])
+@pytest.mark.parametrize("ncol", [2, 17])
+def test_reader_reuses_its_buffers_on_chunks_of_falling_size(tmp_path, monkeypatch, ncol, off_grammar, cpus):
+    """A chunk is a row or two, and the cells lose digits down the file, so the
+    chunks get shorter: the ring's read buffers and the workers' scratch arrays
+    hold a longer chunk's bytes past a shorter one's end.  The matrix is still
+    bit-equal to np.loadtxt's; with a cell off the grammar in a chunk in the
+    middle, the reader leaves the file to np.loadtxt.
+    """
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(_pool, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(ncol)
+    xs = np.arange(600) / 2.0**12
+    # Under the edge cells at the top, multiples of 2^-52 first and of 2^-1 last.
+    scale = 2.0 ** np.linspace(52, 1, xs.size).round()
+    columns = [np.round(rng.standard_normal(xs.size) * scale) / scale for _ in range(ncol - 1)]
+    columns[0][: len(EDGES) - 3] = EDGES[:-3]
+    path = tmp_path / "solution.csv"
+    cli._write_solution(path, "csv", xs, [f"c{k}" for k in range(ncol - 1)], columns)
+    if off_grammar:
+        text = path.read_bytes()
+        middle = text.index(b"\n", len(text) // 2) + 1
+        path.write_bytes(text[:middle] + b"1E5" + text[text.index(b",", middle) :])
+    header = path.read_bytes().index(b"\n") + 1
+    got = cli._read_csv_body(path, header, ncol)
+    want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert want.shape == (xs.size, ncol)
+    if off_grammar:
+        assert got is None
+        got = np.column_stack(cli._read_solution(path)[1:])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

@@ -303,3 +303,37 @@ def test_the_pooled_writer_peaks_near_its_one_worker_peak(tmp_path, monkeypatch,
     finally:
         tracemalloc.stop()
     assert peaks[2] <= peaks[1] + one_block / 4
+
+
+# ---------------------------------------------------------------------------
+# the reader's memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not cli._EXTENDED, reason="np.longdouble has no 64-bit significand")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_reader_peaks_at_its_matrix_and_a_few_chunks_per_worker(tmp_path, monkeypatch, cpus):
+    """The CSV reader's traced peak is its matrix plus 20 `_CHUNK_BYTES` per worker,
+    at two body lengths: no temporary grows with the body.
+
+    Each worker holds two read buffers and one set of scratch arrays sized for
+    the largest chunk, 14-16 chunk sizes with the reader's fixed tables
+    (measured here on n = 0 solve output).  tracemalloc sees numpy's buffers
+    only, not the pages each worker's malloc arena keeps once they are freed,
+    which RSS counts.
+    """
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 1 << 14)
+    monkeypatch.setattr(_pool, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(0)
+    for rows in (1 << 14, 1 << 16):
+        path = tmp_path / f"{rows}.csv"
+        cli._write_solution(path, "csv", np.arange(rows) / rows, ["value"], [rng.standard_normal(rows)])
+        assert path.stat().st_size > 32 * cli._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            matrix = cli._read_csv_body(path, len(b"x,value\r\n"), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (rows, 2)
+        assert peak <= matrix.nbytes + 20 * cpus * cli._CHUNK_BYTES
