@@ -29,7 +29,9 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def ordered_map(fn: Callable[[Block], Result], blocks: Iterable[Block], count: int) -> Iterator[Result]:
+def ordered_map(
+    fn: Callable[..., Result], blocks: Iterable[Block], count: int, scratch: Callable[[Block], object] | None = None
+) -> Iterator[Result]:
     """fn(block) for each of the `count` blocks, yielded in block order.
 
     min(_cpus(), count) threads make the calls, each call in a copy of the
@@ -38,11 +40,24 @@ def ordered_map(fn: Callable[[Block], Result], blocks: Iterable[Block], count: i
     pulled from `blocks` in the caller's thread and only as they are needed:
     at most 2 * workers are taken and not yet yielded.  The first call to fail,
     in block order, raises where its result would be yielded.  Every thread is
-    joined before the map returns, raises or is closed.
+    joined before the map returns, raises or is closed.  With `scratch`, each
+    thread that makes calls (the caller's, inline) makes its own buffers with
+    scratch(block) for the first block it takes, then calls fn(block, buffers).
     """
     workers = min(_cpus(), count)
+
+    def thread_call() -> Callable[[Block], Result]:  # fn for one thread
+        buffers = []
+
+        def call(block):
+            if not buffers:
+                buffers.append(scratch(block))
+            return fn(block, buffers[0])
+
+        return fn if scratch is None else call
+
     if workers <= 1:
-        yield from map(fn, blocks)
+        yield from map(thread_call(), blocks)
         return
     import queue  # here, so that a process that never starts a thread does not import it
 
@@ -50,12 +65,13 @@ def ordered_map(fn: Callable[[Block], Result], blocks: Iterable[Block], count: i
     ended = threading.Event()
 
     def work() -> None:
+        call = thread_call()
         while (task := tasks.get()) is not None:
             context, block, reply = task
             if ended.is_set():  # the map has ended, and no one reads this reply
                 continue
             try:
-                reply.put((True, context.run(fn, block)))
+                reply.put((True, context.run(call, block)))
             except BaseException as exc:  # re-raised in the caller's thread, in block order
                 reply.put((False, exc))
 

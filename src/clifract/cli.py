@@ -16,9 +16,10 @@ go through Python's `%.17g` (see `_csv_block`).  eval reads such a body
 back exactly, each value `float(cell)`, with a numpy parser, and any other
 CSV with np.loadtxt (see `_read_csv_body`).  The CSV writer's blocks and the
 parser's chunks run on one thread per CPU (`_pool.ordered_map`), with the
-same bytes on any CPU count; each thread fills one set of buffers, made
-once per command for the largest block or chunk (`_CsvScratch`,
-`_ParseScratch`), and the chunks are read into a ring of buffers.
+same bytes on any CPU count; each thread fills one set of buffers, which
+the pool has it make once per command, for the first block it takes or for
+the largest chunk (`_CsvScratch`, `_ParseScratch`), and each thread reads
+its chunks into its own buffer.
 CLIFRACT_OUTPUT_DIR, when set, anchors relative output paths.  With
 --quiet, solve and check skip the random contraction probe and the
 residual, which only their reports print; check --quiet reads the gate
@@ -36,7 +37,9 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
+from contextlib import closing
 from functools import lru_cache
 from pathlib import Path
 
@@ -259,8 +262,7 @@ def _write_solution(
             return _csv_block(block(lo, scratch.cells[: rows * ncol].reshape(rows, ncol)), scratch)
 
         # Every block but the last has `step` rows, so a set made for the last serves no other.
-        scratch = _with_scratch(write, lambda lo: _CsvScratch(min(step, len(xs) - lo) * ncol))
-        blocks = _pool.ordered_map(scratch, starts, len(starts))
+        blocks = _pool.ordered_map(write, starts, len(starts), lambda lo: _CsvScratch(min(step, len(xs) - lo) * ncol))
         with open(path, "wb") as fh:
             fh.write(header.getvalue().encode())
             fh.writelines(blocks)
@@ -311,26 +313,6 @@ class _CsvScratch:
         self.flags = np.empty((4, cells), bool)
         self.slots = np.empty((cells, 4), "<u8")
         self.keep = np.empty(32 * cells, bool)
-
-
-def _with_scratch(fn, make):
-    """fn(block, scratch) as a function of the block alone, for `_pool.ordered_map`.
-
-    Each call takes a spare scratch set, or makes one with make(block), and
-    puts it back when it returns.  Calls that run at the same time hold
-    different sets, so w workers make at most w sets, which live as long as
-    the function.  A set made for a block must hold every later block.
-    """
-    spare = []
-
-    def call(block):
-        scratch = spare.pop() if spare else make(block)
-        try:
-            return fn(block, scratch)
-        finally:
-            spare.append(scratch)
-
-    return call
 
 
 def _layout_masks() -> np.ndarray:
@@ -657,10 +639,10 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
 
     A first pass counts the rows and cuts the body into chunks of about
     `_CHUNK_BYTES` that end at a row end; the second parses the chunks into
-    one preallocated matrix, on one thread per CPU (`_pool.ordered_map`), with at
-    most two chunks per worker read and not yet parsed.  The chunks are read
-    into a ring of that many buffers, and each worker parses in one set of
-    scratch arrays; all are sized for the largest chunk, once per call.
+    one preallocated matrix, on one thread per CPU (`_pool.ordered_map`).  Each
+    worker reads a chunk into its own buffer, under a lock that keeps the
+    seek and the read together, and parses it in place in its own scratch
+    arrays; the pool has each worker make them once, for the largest chunk.
     Returns None, for np.loadtxt to read the file, when the body is empty,
     does not end in a row end, runs on for 1 MiB past the last row end read
     (so no chunk passes `_CHUNK_BYTES` + 1 MiB), or holds a byte, a cell or
@@ -688,36 +670,36 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
         count = len(cuts) - 1
         size = _PAD + int(np.diff(cuts).max())
         most = int(np.diff(rows).max())  # rows in a chunk
-        # The map takes at most 2 * workers chunks that it has not yet yielded,
-        # so the chunk that last used a ring buffer has been parsed.
-        ring = [np.empty(size, np.uint8) for _ in range(2 * min(_pool._cpus(), count))]
+        lock = threading.Lock()
 
-        def chunks():
-            fh.seek(offset)
-            for i in range(count):
-                buf = ring[i % len(ring)][: _PAD + cuts[i + 1] - cuts[i]]
-                buf[: _PAD - 1] = 48
-                buf[_PAD - 1] = 10
-                # A file that shrank since the count leaves _BAD zero bytes, which fail the parse.
-                buf[_PAD + fh.readinto(buf[_PAD:]) :] = 0
-                yield buf, out[rows[i] : rows[i + 1]]
+        def parse(i: int, scratch: _ParseScratch) -> bool:
+            buf = scratch.buf[: _PAD + cuts[i + 1] - cuts[i]]
+            with lock:
+                fh.seek(cuts[i])
+                read = fh.readinto(buf[_PAD:])
+            # A file that shrank since the count leaves _BAD zero bytes, which fail the parse.
+            buf[_PAD + read :] = 0
+            return _parse_chunk(buf, out[rows[i] : rows[i + 1]], signed_pow10, scratch)
 
-        parse = _with_scratch(
-            lambda chunk, scratch: _parse_chunk(*chunk, signed_pow10, scratch), lambda _: _ParseScratch(size, most, ncol)
-        )
-        return out if all(_pool.ordered_map(parse, chunks(), count)) else None
+        # Closed before the file: every worker is joined, on every path.
+        with closing(_pool.ordered_map(parse, range(count), count, lambda _: _ParseScratch(size, most, ncol))) as parsed:
+            return out if all(parsed) else None
 
 
 class _ParseScratch:
     """One worker's arrays for chunks of up to `size` bytes, pad included, and `rows` rows of `ncol` cells.
 
-    A byte a byte of chunk (its flags), a byte a token (its class) for the
-    most tokens such rows may hold (see `_parse_chunk`), and 111 bytes a
-    cell; the tokens' grammar codes take the cells' integers.
+    Two bytes a byte of chunk (the chunk, read after its pad, and its flags),
+    a byte a token (its class) for the most tokens such rows may hold (see
+    `_parse_chunk`), and 111 bytes a cell; the tokens' grammar codes take the
+    cells' integers.
     """
 
     def __init__(self, size: int, rows: int, ncol: int):
         cells = rows * ncol
+        self.buf = np.empty(size, np.uint8)
+        self.buf[: _PAD - 1] = 48  # the pad, which the parse leaves as it is
+        self.buf[_PAD - 1] = 10
         self.flags = np.empty(size, bool)
         self.tok = np.empty(_MAX_TOKENS * cells + rows + 1, np.uint8)
         # Seven integers a cell; with rows <= cells, also room for a code a token.
@@ -728,7 +710,7 @@ class _ParseScratch:
         self.wide = np.empty(max(np.dtype(np.longdouble).itemsize, 24) * cells, np.uint8)
 
 
-def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, scratch: _ParseScratch | None = None) -> bool:
+def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, sc: _ParseScratch) -> bool:
     """Parse the rows in buf[_PAD:] into dest; False, with dest partly written, off the grammar.
 
     Tokens are the bytes that are not digits, from the LF at buf[_PAD - 1] on;
@@ -745,10 +727,8 @@ def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, sc
     overflowing results included.  Cells whose bracket straddles a rounding
     midpoint, mantissas past 19 significant digits or 24 digits, and |k| past
     the table's 360 go through `float(cell)`, with the dot put back.  The
-    arrays the size of the chunk or of its cells are `scratch`'s, which must
-    hold them; without one the call makes its own.
+    arrays the size of the chunk or of its cells are `sc`'s, which must hold them.
     """
-    sc = scratch or _ParseScratch(buf.size, *dest.shape)
     # Numpy keeps errstate per thread: a pool thread does not see the caller's.
     with np.errstate(all="ignore"):
         text = buf[_PAD - 1 :]

@@ -1,5 +1,8 @@
 """The CSV cell formatter against Python's own `'%.17g'`, byte for byte, and the reader against `float()`."""
 
+import contextlib
+import io
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -213,8 +216,8 @@ def test_reader_matches_loadtxt_on_whole_files(tmp_path, ncol):
 @pytest.mark.parametrize("ncol", [2, 17])
 def test_reader_reuses_its_buffers_on_chunks_of_falling_size(tmp_path, monkeypatch, ncol, off_grammar, cpus):
     """A chunk is a row or two, and the cells lose digits down the file, so the
-    chunks get shorter: the ring's read buffers and the workers' scratch arrays
-    hold a longer chunk's bytes past a shorter one's end.  The matrix is still
+    chunks get shorter: the workers' read buffers and scratch arrays hold a
+    longer chunk's bytes past a shorter one's end.  The matrix is still
     bit-equal to np.loadtxt's; with a cell off the grammar in a chunk in the
     middle, the reader leaves the file to np.loadtxt.
     """
@@ -262,3 +265,77 @@ def test_reader_leaves_rows_of_mebibytes_to_loadtxt(tmp_path):
     assert cli._read_csv_body(path, 9, 2) is None
     path.write_bytes(b"x,value\r\n0,1\r\n1," + b"1" * ((1 << 20) - 8) + b"\r\n")
     assert cli._read_csv_body(path, 9, 2)[1, 1] == float("1" * ((1 << 20) - 8))
+
+
+def _n0_solution(path, rows):
+    """A `solve`-written n = 0 body of `rows` rows; returns its (x, value) columns."""
+    rng = np.random.default_rng(rows)
+    columns = np.arange(rows) / rows, rng.standard_normal(rows)
+    cli._write_solution(path, "csv", columns[0], ["value"], [columns[1]])
+    return np.column_stack(columns)
+
+
+@EXTENDED
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("chunk_bytes", [64, 1 << 10, 1 << 14])
+def test_reader_does_not_depend_on_how_far_ahead_the_map_takes_chunks(tmp_path, monkeypatch, chunk_bytes, cpus):
+    """A map that takes every chunk before its first call still gives the written columns."""
+    pooled = _pool.ordered_map
+
+    def greedy(fn, blocks, count, *scratch):
+        return pooled(fn, list(blocks), count, *scratch)
+
+    monkeypatch.setattr(_pool, "ordered_map", greedy)
+    monkeypatch.setattr(_pool, "_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "solution.csv"
+    want = _n0_solution(path, 1 << 12)
+    got = cli._read_csv_body(path, len(b"x,value\r\n"), 2)
+    assert got is not None
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _eval(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", str(path), "--at", "0.5"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@EXTENDED
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_body_that_shrinks_between_the_count_and_the_parse_goes_to_loadtxt(tmp_path, monkeypatch, cpus):
+    """The file loses about half its body, within the x cell of a row, after the
+    first pass counted it: the workers' short reads fail the parse, every worker
+    is joined, and `eval` ends as np.loadtxt ends on the shortened file, whose
+    last row has one column."""
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 1 << 10)
+    monkeypatch.setattr(_pool, "_cpus", lambda: cpus)
+    path = tmp_path / "solution.csv"
+    _n0_solution(path, 1 << 10)
+    size = path.stat().st_size
+    cut = path.read_bytes().rindex(b"\n", 0, size // 2) + 3
+    counted = cli._check_body_cells
+    shrunk = []
+
+    def shrink(rows, ncol):
+        if not shrunk:
+            shrunk.append(rows)
+            with open(path, "r+b") as fh:
+                fh.truncate(cut)
+        counted(rows, ncol)
+
+    monkeypatch.setattr(cli, "_check_body_cells", shrink)
+    before = threading.active_count()
+    assert cli._read_csv_body(path, len(b"x,value\r\n"), 2) is None
+    assert shrunk == [1 << 10] and path.stat().st_size == cut
+    assert threading.active_count() == before
+
+    _n0_solution(path, 1 << 10)
+    shrunk.clear()
+    during = _eval(path)
+    assert shrunk and path.stat().st_size == cut
+    assert threading.active_count() == before
+    monkeypatch.setattr(cli, "_check_body_cells", counted)
+    assert during == _eval(path)
+    assert during[0] == 2 and "malformed solution file" in during[2]

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -127,6 +128,68 @@ def test_the_map_survives_more_threads_than_cores_and_fast_switching(monkeypatch
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     assert got == [(k, k * k) for k in range(400)]
+
+
+class _Buffers:
+    """A scratch maker that records, per thread, the set it made and the blocks it ran,
+    and fails a call whose set another running call holds.  Blocks 5 and 7 fail;
+    with `threads`, block 7 fails first in time."""
+
+    def __init__(self, threads=False):
+        self.lock, self.late_failure = threading.Lock(), threading.Event()
+        self.made, self.ran, self.busy, self.threads = {}, {}, set(), threads
+
+    def make(self, block):
+        thread = threading.current_thread()
+        with self.lock:
+            assert thread not in self.made
+            self.made[thread] = block
+        return [thread]
+
+    def fn(self, block, buffers):
+        with self.lock:
+            assert buffers[0] is threading.current_thread() and id(buffers) not in self.busy
+            self.busy.add(id(buffers))
+            self.ran.setdefault(buffers[0], []).append(block)
+        time.sleep(1e-4)  # so that the calls of different threads overlap
+        with self.lock:
+            self.busy.remove(id(buffers))
+        if block == 7:
+            self.late_failure.set()
+            raise KeyError(block)
+        if block == 5:
+            if self.threads:
+                self.late_failure.wait(timeout=10)
+            raise ValueError(block)
+        return block * block
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_each_thread_makes_one_set_of_buffers_from_its_first_block(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    buffers = _Buffers()
+    with _no_thread_left():
+        results = list(_pool.ordered_map(buffers.fn, range(5), 5, buffers.make))
+    assert results == [k * k for k in range(5)]
+    assert buffers.made == {thread: blocks[0] for thread, blocks in buffers.ran.items()}
+    assert sorted(k for blocks in buffers.ran.values() for k in blocks) == list(range(5))
+    if cpus == 1:
+        assert list(buffers.made) == [threading.current_thread()]
+    else:
+        assert threading.current_thread() not in buffers.made and len(buffers.made) <= cpus
+
+    buffers = _Buffers(threads=cpus > 1)
+    with _no_thread_left(), pytest.raises(ValueError, match="5"):
+        list(_pool.ordered_map(buffers.fn, range(40), 40, buffers.make))
+    assert buffers.made == {thread: blocks[0] for thread, blocks in buffers.ran.items()}
+
+    buffers = _Buffers()
+    with _no_thread_left():
+        results = _pool.ordered_map(buffers.fn, range(40), 40, buffers.make)
+        assert [next(results) for _ in range(3)] == [0, 1, 4]
+        results.close()
+    assert buffers.made == {thread: blocks[0] for thread, blocks in buffers.ran.items()}
+    assert len(buffers.made) <= cpus
 
 
 # ---------------------------------------------------------------------------
