@@ -14,7 +14,7 @@ import contextvars
 import os
 import threading
 from collections import deque
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 __all__ = ["ordered_map"]
 
@@ -30,11 +30,11 @@ def _cpus() -> int:
 
 
 def ordered_map(
-    fn: Callable[..., Result], blocks: Iterable[Block], count: int, scratch: Callable[[Block], object] | None = None
+    fn: Callable[..., Result], blocks: Sequence[Block], scratch: Callable[[Block], object] | None = None
 ) -> Iterator[Result]:
-    """fn(block) for each of the `count` blocks, yielded in block order.
+    """fn(block) for each of the `blocks`, yielded in block order.
 
-    min(_cpus(), count) threads make the calls, each call in a copy of the
+    min(_cpus(), len(blocks)) threads make the calls, each call in a copy of the
     caller's context, so that numpy's errstate holds in the threads too.  One
     worker means no thread: the calls run in the caller's thread.  Blocks are
     pulled from `blocks` in the caller's thread and only as they are needed:
@@ -44,7 +44,7 @@ def ordered_map(
     thread that makes calls (the caller's, inline) makes its own buffers with
     scratch(block) for the first block it takes, then calls fn(block, buffers).
     """
-    workers = min(_cpus(), count)
+    workers = min(_cpus(), len(blocks))
 
     def thread_call() -> Callable[[Block], Result]:  # fn for one thread
         buffers = []

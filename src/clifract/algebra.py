@@ -322,7 +322,7 @@ def _matrix_product(n: int, f: Stack, g: Stack, masks: np.ndarray) -> np.ndarray
 
     starts = range(0, total, block)
     if d <= 16:
-        for _ in ordered_map(lambda lo: multiply([lo]), starts, len(starts)):
+        for _ in ordered_map(lambda lo: multiply([lo]), starts):
             pass
     else:
         # One loop keeps a block's arrays until the next block has made its own; a call per

@@ -60,10 +60,9 @@ EXIT_GATE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-# Cells per block of the solution writers, shared among the CSV writer's threads.  Their
-# buffers hold 116 bytes a cell (`_CsvScratch`), 7.25 MiB in all, about what the fresh
-# temporaries of each block, some 216 bytes a cell plus the block, held at 2^15 cells.
-_CELL_CAP = 1 << 16
+# Cells per block of the solution writers, on any CPU count.  A CSV worker's buffers hold
+# 116 bytes a cell (`_CsvScratch`); 2^15 cells was the fastest block on one CPU and on two.
+_CELL_CAP = 1 << 15
 # The CSV digit step needs np.longdouble to carry at least a 64-bit significand.
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 # For 0 <= k <= 27, 10^k is exact in 64 bits, and so is m * 10^k for an odd m <= this bound.
@@ -155,21 +154,20 @@ def _resolve_output(args, setup: ProblemSetup, fmt: str) -> Path:
     return path
 
 
-def _finite_plan(setup: ProblemSetup, masks):
-    """The command's one operator plan, with q rows for `masks`; ConfigError, naming
-    q[i] or s[i] for the tile i of the first grid point, where its q or s values are not finite.
+def _finite_plan(setup: ProblemSetup):
+    """The command's one operator plan, with the support's q rows; ConfigError, naming
+    q[i] or s[i] for the tile i that `locate` gives the first grid point whose q or s values are not finite.
 
     No gate reads q, and a field may overflow on the grid: such values would
     reach the solve or the probe as inf or nan.
     """
     params, grid_m = setup.params, setup.config.grid_m
-    plan = params._plan(grid_m, masks)
+    plan = params._plan(grid_m, params.support)
     finite = np.isfinite(plan.s_vals)
     finite &= np.isfinite(plan.q_vals).all(axis=0)
     if not finite.all():
         j = int(np.argmin(finite))  # the first grid point with a value that is not finite
-        tiles = params.partition.tile_ranges(params.partition.grid(grid_m))
-        i = next(i for i, rows in enumerate(tiles) if j < rows.stop)
+        i = params.partition.locate(params.partition.grid(grid_m)[j])
         name = "s" if not math.isfinite(plan.s_vals[j]) else "q"
         raise ConfigError(f"{name}[{i}]", "values not finite on the grid")
     return plan
@@ -202,7 +200,7 @@ def _cmd_solve(args) -> int:
     fmt = args.format or (cfg.output or {}).get("format") or "csv"
     out_path = _resolve_output(args, setup, fmt)
 
-    plan = _finite_plan(setup, params.support)
+    plan = _finite_plan(setup)
     try:
         result = _clifford_fixed_point(params, plan, cfg.tol, cfg.max_iter)
     except ConvergenceError as exc:
@@ -237,17 +235,16 @@ def _write_solution(
 ) -> None:
     """Write one row per grid point; a lone `value` column is an n = 0 solution.
 
-    Blocks of at most `_CELL_CAP` cells bound the memory.  CSV blocks, 1/CPUs
-    of that each, run on one thread per CPU (`_pool.ordered_map`): the blocks in
-    flight then hold about what one block holds on one CPU.  The CSV bytes are
+    Blocks of at most `_CELL_CAP` cells, on any CPU count, bound the memory:
+    CSV blocks run on one thread per CPU (`_pool.ordered_map`), each in its
+    thread's buffers, so the writer holds about a block a worker.  The CSV bytes are
     those of `csv.writer` with `format(v, ".17g")` cells (see `_csv_block`).
     The JSON bytes are those of `json.dumps(rows, indent=2) + "\n"`, whose
     floats are `float.__repr__`, the `%r` of a Python float; each block is one
     row template applied with `%`.
     """
     ncol = 1 + len(columns)
-    cap = _CELL_CAP // _pool._cpus() if fmt == "csv" else _CELL_CAP
-    step = max(1, min(cap // ncol, len(xs)))
+    step = max(1, min(_CELL_CAP // ncol, len(xs)))
     starts = range(0, len(xs), step)
 
     def block(lo: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -262,7 +259,7 @@ def _write_solution(
             return _csv_block(block(lo, scratch.cells[: rows * ncol].reshape(rows, ncol)), scratch)
 
         # Every block but the last has `step` rows, so a set made for the last serves no other.
-        blocks = _pool.ordered_map(write, starts, len(starts), lambda lo: _CsvScratch(min(step, len(xs) - lo) * ncol))
+        blocks = _pool.ordered_map(write, starts, lambda lo: _CsvScratch(min(step, len(xs) - lo) * ncol))
         with open(path, "wb") as fh:
             fh.write(header.getvalue().encode())
             fh.writelines(blocks)
@@ -350,7 +347,7 @@ _LAYOUT = _layout_masks()
 _CELL_END, _ROW_END = np.uint64(0x2C << 48), np.uint64(0x0A0D << 48)
 
 
-def _csv_block(cells: np.ndarray, scratch: _CsvScratch | None = None) -> bytes:
+def _csv_block(cells: np.ndarray, sc: _CsvScratch) -> bytes:
     """CSV rows of a (rows, cols) block: `'%.17g'` cells, `,` between, CRLF after each row.
 
     Digits: with e = floor(log10|v|), stepped until 10^16 <= s < 10^17, the
@@ -371,14 +368,13 @@ def _csv_block(cells: np.ndarray, scratch: _CsvScratch | None = None) -> bytes:
     the reader's); the exponent and the separator.  Where the digits hold the
     point, the digits after it move one byte on, digit 16 into word 3.  Zero
     bytes are padding, dropped at the end.  Every block-sized array is one of
-    `scratch`'s, which must hold the block; without one the call makes its own.
+    `sc`'s, which must hold the block.
     """
     rows, ncol = cells.shape
     v = cells.ravel()
     if not _EXTENDED:
         return ("".join([",".join(["%.17g"] * ncol) + "\r\n"] * rows) % tuple(v.tolist())).encode()
     n = v.size
-    sc = scratch or _CsvScratch(n)
     work = sc.work[: 2 * n].reshape(2, n)
     d, a = work[0], work[1].view(np.float64)
     e = sc.exp[:n]
@@ -540,8 +536,7 @@ def _cmd_check(args) -> int:
     configured = gamma_gate(cfg.space, params)
 
     if not args.quiet:
-        # The probe reads no q row above n = 0, so the plan holds none.
-        plan = _finite_plan(setup, params.support if cfg.n == 0 else ())
+        plan = _finite_plan(setup)
         print(f"{'space':<28} {'gamma':<24} contraction")
         for spec in _report_spaces(cfg.space):
             value = gamma_gate(spec, params)
@@ -682,7 +677,7 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
             return _parse_chunk(buf, out[rows[i] : rows[i + 1]], signed_pow10, scratch)
 
         # Closed before the file: every worker is joined, on every path.
-        with closing(_pool.ordered_map(parse, range(count), count, lambda _: _ParseScratch(size, most, ncol))) as parsed:
+        with closing(_pool.ordered_map(parse, range(count), lambda _: _ParseScratch(size, most, ncol))) as parsed:
             return out if all(parsed) else None
 
 

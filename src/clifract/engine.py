@@ -454,9 +454,7 @@ def _solve(plan: _Plan, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarr
     iterations = np.zeros(len(values), dtype=np.int64)
     bounds = np.zeros(len(values))
     certificate = _power_rho(plan) if len(values) else ()  # no rows, no certificate
-    solved = ordered_map(
-        lambda row: _iterate_row(plan, row, *certificate, tol, max_iter), range(len(values)), len(values)
-    )
+    solved = ordered_map(lambda row: _iterate_row(plan, row, *certificate, tol, max_iter), range(len(values)))
     for row, solution in enumerate(solved):
         values[row], iterations[row], bounds[row] = solution
     return values, iterations, bounds

@@ -667,7 +667,7 @@ WIDE_CELLS = [-1.2345678901234567e-300, 9.876543210987654e300, -0.0, float("nan"
 def test_reused_writer_buffers_leave_no_stale_bytes(tmp_path, monkeypatch, names, cpus):
     """Full blocks of wide cells, then a shorter last block of plain ones: each worker
     fills the same buffers block after block, and no byte of an earlier block shows."""
-    monkeypatch.setattr(cli, "_CELL_CAP", 64 * cpus)
+    monkeypatch.setattr(cli, "_CELL_CAP", 64)
     monkeypatch.setattr(_pool, "_cpus", lambda: cpus)
     step = 64 // (1 + len(names))
     wide = 3 * cpus * step

@@ -431,6 +431,35 @@ def test_overflowing_fields_end_in_exits_without_warnings(tmp_path, capsys):
     assert runs["samples", "solve"][0] == 3
 
 
+# 1e308 + 0.8e308 y overflows at y = 1 alone on a grid of 64.
+JUNCTION_POLY = {"poly": [1e308, 0.8e308]}
+
+
+@pytest.mark.parametrize(
+    "n, q, field",
+    [
+        (1, [{"1": {"poly": [1e308, 1e308]}}, {"": {"const": 1.0}}], "q[0]"),
+        (2, [{"": {"const": 1.0}}, {"12": {"poly": [1e308, 1e308]}}], "q[1]"),
+        # Grid point 32 of 64, the junction x = 0.5, is the first to overflow: tile 0 owns
+        # it (`locate`), at the pre-image y = 1, and tile 1 reaches y = 1 only at x = 1.
+        (0, [JUNCTION_POLY, JUNCTION_POLY], "q[0]"),
+        (1, [{"1": JUNCTION_POLY}, {"1": JUNCTION_POLY}], "q[0]"),
+    ],
+    ids=["n1", "n2", "junction-n0", "junction-n1"],
+)
+def test_default_check_refuses_the_q_that_solve_refuses_at_every_n(tmp_path, capsys, n, q, field):
+    # check builds the plan that solve builds, q rows included, though its probe reads none above n = 0.
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(dict(SCALAR_CONFIG, n=n, q=q)))
+    expected = (2, "", f"config error: {field}: values not finite on the grid\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["check", str(config)], ["solve", str(config), "--quiet", "--output", str(tmp_path / "out.csv")]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected, argv[0]
+
+
 @pytest.mark.parametrize("raw, field", KEY_MUTANTS.values(), ids=KEY_MUTANTS.keys())
 def test_blade_keys_are_text_in_a_config(raw, field):
     with pytest.raises(ConfigError) as excinfo:

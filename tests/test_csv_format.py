@@ -21,7 +21,8 @@ def _expected(values) -> bytes:
 
 
 def _formatted(values) -> bytes:
-    return cli._csv_block(np.asarray(values, dtype=float).reshape(-1, 1))
+    cells = np.asarray(values, dtype=float).reshape(-1, 1)
+    return cli._csv_block(cells, cli._CsvScratch(cells.size))
 
 
 def _powers_of_ten():
@@ -106,9 +107,9 @@ def test_power_table_is_rounded_to_nearest_at_64_bits():
 def test_writer_without_extended_precision_gives_the_same_bytes(monkeypatch):
     values = np.concatenate([_powers_of_ten(), EDGES, _ties()[:500]])
     cells = values[: values.size // 2 * 2].reshape(-1, 2)
-    fast = cli._csv_block(cells)
+    fast = cli._csv_block(cells, cli._CsvScratch(cells.size))
     monkeypatch.setattr(cli, "_EXTENDED", False)
-    assert cli._csv_block(cells) == fast
+    assert cli._csv_block(cells, cli._CsvScratch(cells.size)) == fast
     assert fast == b"".join(b"%.17g,%.17g\r\n" % (x, v) for x, v in cells.tolist())
 
 
@@ -282,8 +283,8 @@ def test_reader_does_not_depend_on_how_far_ahead_the_map_takes_chunks(tmp_path, 
     """A map that takes every chunk before its first call still gives the written columns."""
     pooled = _pool.ordered_map
 
-    def greedy(fn, blocks, count, *scratch):
-        return pooled(fn, list(blocks), count, *scratch)
+    def greedy(fn, blocks, *scratch):
+        return pooled(fn, list(blocks), *scratch)
 
     monkeypatch.setattr(_pool, "ordered_map", greedy)
     monkeypatch.setattr(_pool, "_cpus", lambda: cpus)

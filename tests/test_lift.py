@@ -454,6 +454,23 @@ def test_both_solvers_word_their_refusals_alike(knots, q_e1, s, max_iter, patter
     assert math.isinf(error.residual) == ("overflows" in pattern)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a fixed point past the float range is refused only once an iterate overflows (ROADMAP item 20)",
+)
+def test_a_fixed_point_that_must_overflow_is_refused_before_iterating():
+    # q is finite on the grid, but tile 0's map fixes x = 0, where f*(0) = 1e308 / (1 - 0.9)
+    # is past the float range: no solve can succeed.  Today the refusal comes at step 2,
+    # "step 2 = inf overflows (rho_2 = 8.100e-01)".  The fix also moves
+    # test_both_solvers_word_their_refusals_alike[aligned-overflow], whose e1 row has the
+    # fixed point 1.797e308 / (1 - 0.5) at x = 0.
+    params = CliffordRBParams(0, uniform_partition(0.0, 1.0, 2), ({0: 1e308}, {0: 1.0}), (0.9, 0.5))
+    with pytest.raises(ConvergenceError) as excinfo:
+        clifford_fixed_point(params, 64, tol=1e-10)
+    assert excinfo.value.iterations == 0
+
+
 def test_unsupported_blades_stay_zero():
     params = lifted_problem(datasets={"1": [0.0, 1.0, 0.0]})
     result = clifford_fixed_point(params, 64, tol=1e-10, gamma=0.3)

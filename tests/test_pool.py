@@ -64,15 +64,21 @@ def test_the_map_keeps_block_order_and_its_window(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
     taken, consumed = [], []
 
-    def blocks():
-        for k in range(23):
-            # At most 2 * workers blocks are taken and not yet consumed.
-            assert k + 1 - len(consumed) <= 2 * cpus
-            taken.append(k)
-            yield k
+    class Blocks:
+        """Blocks 0..22, a sized sequence that records each block taken."""
+
+        def __len__(self):
+            return 23
+
+        def __iter__(self):
+            for k in range(23):
+                # At most 2 * workers blocks are taken and not yet consumed.
+                assert k + 1 - len(consumed) <= 2 * cpus
+                taken.append(k)
+                yield k
 
     with _no_thread_left():
-        for result in _pool.ordered_map(lambda k: k * k, blocks(), 23):
+        for result in _pool.ordered_map(lambda k: k * k, Blocks()):
             consumed.append(result)
     assert consumed == [k * k for k in range(23)]
     assert taken == list(range(23))
@@ -82,9 +88,9 @@ def test_one_worker_runs_in_the_calling_thread(monkeypatch):
     _cpus(monkeypatch, 4)
     threads = []
     with _no_thread_left():
-        list(_pool.ordered_map(lambda k: threads.append(threading.current_thread()), range(1), 1))
+        list(_pool.ordered_map(lambda k: threads.append(threading.current_thread()), range(1)))
     _cpus(monkeypatch, 1)
-    list(_pool.ordered_map(lambda k: threads.append(threading.current_thread()), range(5), 5))
+    list(_pool.ordered_map(lambda k: threads.append(threading.current_thread()), range(5)))
     assert threads == [threading.current_thread()] * 6
 
 
@@ -104,13 +110,13 @@ def test_the_first_failure_in_block_order_is_raised_and_every_thread_joined(monk
         return k
 
     with _no_thread_left(), pytest.raises(ValueError, match="2"):
-        list(_pool.ordered_map(work, range(9), 9))
+        list(_pool.ordered_map(work, range(9)))
 
 
 def test_a_map_closed_early_joins_its_threads(monkeypatch):
     _cpus(monkeypatch, 3)
     with _no_thread_left():
-        results = _pool.ordered_map(lambda k: k, range(100), 100)
+        results = _pool.ordered_map(lambda k: k, range(100))
         assert [next(results) for _ in range(4)] == [0, 1, 2, 3]
         results.close()
 
@@ -119,7 +125,7 @@ def test_the_map_survives_more_threads_than_cores_and_fast_switching(monkeypatch
     _cpus(monkeypatch, 3 * (os.cpu_count() or 1) + 1)
     interval = sys.getswitchinterval()
     got = []
-    runner = threading.Thread(target=lambda: got.extend(_pool.ordered_map(lambda k: (k, k * k), range(400), 400)))
+    runner = threading.Thread(target=lambda: got.extend(_pool.ordered_map(lambda k: (k, k * k), range(400))))
     sys.setswitchinterval(1e-6)
     try:
         runner.start()
@@ -169,7 +175,7 @@ def test_each_thread_makes_one_set_of_buffers_from_its_first_block(monkeypatch, 
     _cpus(monkeypatch, cpus)
     buffers = _Buffers()
     with _no_thread_left():
-        results = list(_pool.ordered_map(buffers.fn, range(5), 5, buffers.make))
+        results = list(_pool.ordered_map(buffers.fn, range(5), buffers.make))
     assert results == [k * k for k in range(5)]
     assert buffers.made == {thread: blocks[0] for thread, blocks in buffers.ran.items()}
     assert sorted(k for blocks in buffers.ran.values() for k in blocks) == list(range(5))
@@ -180,12 +186,12 @@ def test_each_thread_makes_one_set_of_buffers_from_its_first_block(monkeypatch, 
 
     buffers = _Buffers(threads=cpus > 1)
     with _no_thread_left(), pytest.raises(ValueError, match="5"):
-        list(_pool.ordered_map(buffers.fn, range(40), 40, buffers.make))
+        list(_pool.ordered_map(buffers.fn, range(40), buffers.make))
     assert buffers.made == {thread: blocks[0] for thread, blocks in buffers.ran.items()}
 
     buffers = _Buffers()
     with _no_thread_left():
-        results = _pool.ordered_map(buffers.fn, range(40), 40, buffers.make)
+        results = _pool.ordered_map(buffers.fn, range(40), buffers.make)
         assert [next(results) for _ in range(3)] == [0, 1, 4]
         results.close()
     assert buffers.made == {thread: blocks[0] for thread, blocks in buffers.ran.items()}
@@ -332,40 +338,57 @@ def test_a_failed_write_exits_2_and_joins_the_writer(tmp_path, monkeypatch, cpus
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [0, 4])
-def test_the_pooled_writer_peaks_near_its_one_worker_peak(tmp_path, monkeypatch, n):
-    """At 2 workers, the writer's traced peak stays within a quarter of one `_csv_block`
-    call's own peak of its peak at 1 worker.
-
-    Each of the 2 workers' blocks is half the 1-worker block, so the two running
-    blocks hold about one 1-worker block, and the rise is the few results that
-    wait to be written (measured at most 2% of a block).  Whole-size blocks on
-    2 workers rise by 0.7-1.1 blocks.
-    """
-    grid_m = 1 << 14
+def _writer_output(n, blocks):
+    """x, names and 2^n columns for `blocks` full writer blocks and a one-row block."""
     rng = np.random.default_rng(n)
-    xs = np.linspace(0.0, 1.0, grid_m + 1)
-    columns = [rng.standard_normal(grid_m + 1) for _ in range(1 << n)]
+    rows = blocks * (cli._CELL_CAP // (1 + (1 << n))) + 1
+    columns = [rng.standard_normal(rows) for _ in range(1 << n)]
     names = ["value"] if n == 0 else [algebra.blade_key(mask) for mask in range(1 << n)]
+    return np.linspace(0.0, 1.0, rows), names, columns
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_the_writer_cuts_the_same_blocks_on_any_cpu_count(tmp_path, monkeypatch, n):
+    xs, names, columns = _writer_output(n, 3)
+    assert xs.size * (1 + len(columns)) > 1 << 16
+    formatted, blocks, shapes = cli._csv_block, [], {}
+
+    def recording(cells, sc):
+        blocks.append((float(cells[0, 0]), cells.shape))  # (its first x, its shape)
+        return formatted(cells, sc)
+
+    monkeypatch.setattr(cli, "_csv_block", recording)
+    for cpus in CPUS:
+        _cpus(monkeypatch, cpus)
+        blocks.clear()
+        cli._write_solution(tmp_path / "out.csv", "csv", xs, names, columns)
+        shapes[cpus] = sorted(blocks)
     step = cli._CELL_CAP // (1 + len(columns))
-    block = np.column_stack([xs[:step], *(col[:step] for col in columns)])
+    assert shapes[1] == [(float(xs[lo]), (min(step, xs.size - lo), 1 + len(columns))) for lo in range(0, xs.size, step)]
+    assert all(shapes[cpus] == shapes[1] for cpus in CPUS)
 
-    def traced_peak(call):
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
 
-    tracemalloc.start()
-    try:
-        one_block = traced_peak(lambda: cli._csv_block(block))
-        peaks = {}
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
-            peaks[cpus] = traced_peak(lambda: cli._write_solution(tmp_path / "out.csv", "csv", xs, names, columns))
-    finally:
-        tracemalloc.stop()
-    assert peaks[2] <= peaks[1] + one_block / 4
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 4])
+def test_the_writer_peaks_at_a_block_per_worker(tmp_path, monkeypatch, n, cpus):
+    """The CSV writer's traced peak is at most 200 bytes a cell of `_CELL_CAP` a worker, on
+    outputs of 8 and 32 blocks: no temporary grows with the output.
+
+    Each worker holds one set of scratch arrays, 116 bytes a cell of its block
+    (`_CsvScratch`), and the block's bytes; the results waiting to be written add a
+    few blocks' bytes, 137-166 bytes a cell a worker in all (measured here).  Like the
+    reader test, this sees numpy's buffers only, not what the malloc arenas keep.
+    """
+    _cpus(monkeypatch, cpus)
+    for blocks in (8, 32):
+        xs, names, columns = _writer_output(n, blocks)
+        tracemalloc.start()
+        try:
+            cli._write_solution(tmp_path / "out.csv", "csv", xs, names, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * cpus * cli._CELL_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +402,8 @@ def test_the_reader_peaks_at_its_matrix_and_a_few_chunks_per_worker(tmp_path, mo
     """The CSV reader's traced peak is its matrix plus 20 `_CHUNK_BYTES` per worker,
     at two body lengths: no temporary grows with the body.
 
-    Each worker holds two read buffers and one set of scratch arrays sized for
-    the largest chunk, 14-16 chunk sizes with the reader's fixed tables
+    Each worker holds one set of scratch arrays sized for the largest chunk, its
+    chunk buffer included, 12.3-15.8 chunk sizes with the reader's fixed tables
     (measured here on n = 0 solve output).  tracemalloc sees numpy's buffers
     only, not the pages each worker's malloc arena keeps once they are freed,
     which RSS counts.
