@@ -11,10 +11,11 @@ on solve, no sup-norm certificate, or non-convergence.  CSV output follows
 RFC 4180 with floats at 17 significant digits; identical configs and
 seeds produce byte-identical files.  Every CSV cell is the bytes of
 `'%.17g' % v`, as in earlier versions, made in numpy blocks from one
-np.longdouble product per cell; the few cells that product cannot settle
-go through Python's `%.17g` (see `_csv_block`).  eval reads such a body
-back exactly, each value `float(cell)`, with a numpy parser, and any other
-CSV with np.loadtxt (see `_read_csv_body`).  The CSV writer's blocks and the
+product per cell carried in a pair of float64s (`_times_pow10`), on every
+platform; the cells that product cannot settle go through Python's `%.17g`
+(see `_csv_block`).  eval reads such a body back exactly, each value
+`float(cell)`, with a numpy parser on the same product, and any other CSV
+with np.loadtxt (see `_read_csv_body`).  The CSV writer's blocks and the
 parser's chunks run on one thread per CPU (`_pool.ordered_map`), with the
 same bytes on any CPU count; each thread fills one set of buffers, which
 the pool has it make once per command, for the first block it takes or for
@@ -40,6 +41,8 @@ import sys
 import threading
 import warnings
 from contextlib import closing
+from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -63,10 +66,8 @@ EXIT_NO_CONVERGENCE = 3
 # Cells per block of the solution writers, on any CPU count.  A CSV worker's buffers hold
 # 116 bytes a cell (`_CsvScratch`); 2^15 cells was the fastest block on one CPU and on two.
 _CELL_CAP = 1 << 15
-# The CSV digit step needs np.longdouble to carry at least a 64-bit significand.
-_EXTENDED = np.finfo(np.longdouble).nmant >= 63
-# For 0 <= k <= 27, 10^k is exact in 64 bits, and so is m * 10^k for an odd m <= this bound.
-_EXACT_LIMIT = np.array([(2**64 - 1) // 5**k for k in range(28)], dtype=np.uint64)
+# Veltkamp's splitter: with c = y * _SPLIT, c - (c - y) is y's top 26 bits (see _times_pow10).
+_SPLIT = 2.0**27 + 1
 # The most cells a solution body may hold: (grid_M + 1) rows of 1 + 2^n cells,
 # with (grid_M + 1) * 2^n <= MAX_GRID_CELLS, so eval allocates no more.
 _MAX_BODY_CELLS = 2 * MAX_GRID_CELLS
@@ -94,9 +95,6 @@ _KEEP = np.array(
     [[0x0F0F0F0F0F0F0F0F << 8 * min(max(8 * g + 8 - d, 0), 8) & 2**64 - 1 for g in (2, 1, 0)] for d in range(25)],
     dtype="<u8",
 ).view("V24").ravel()
-# r * _INNER and r * _OUTER bracket every value within 2^-63 relative of r (see _parse_chunk).
-_INNER = 1 - np.ldexp(np.longdouble(1), -62)
-_OUTER = 1 + np.ldexp(np.longdouble(1), -62)
 
 
 def _fmt(value: float) -> str:
@@ -277,22 +275,57 @@ def _write_solution(
 
 
 @lru_cache(maxsize=1)
-def _pow10() -> np.ndarray:
-    """10^k at index k + 360 for k = -360..360, rounded to nearest at 64 significant bits."""
-    table = np.empty(721, dtype=np.longdouble)
-    for k in range(-360, 361):
-        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
-        # Scale by 2^shift so that the quotient q lands in [2^63, 2^64).
-        shift = 63 - num.bit_length() + den.bit_length()
-        num, den = num << max(shift, 0), den << max(-shift, 0)
-        if num < den << 63:
-            num, shift = num << 1, shift + 1
-        q, r = divmod(num, den)
-        q += 2 * r > den or (2 * r == den and q & 1)
-        # Both halves and the sum are exact, even for q = 2^64.
-        table[k + 360] = np.ldexp(np.longdouble(q >> 32) * 2**32 + (q & 0xFFFFFFFF), -shift)
-    table.flags.writeable = False
-    return table
+def _pow10() -> tuple[np.ndarray, ...]:
+    """10^k = (hi + lo) * 2^b at index k + 360 for k = -360..360: float64 arrays hi, hh, hl, lo, int32 b.
+
+    hi is 10^k * 2^-b, in [1, 2), rounded to nearest, and lo the rest rounded
+    to nearest, both from the exact `Fraction`, so |hi + lo - 10^k * 2^-b| <=
+    2^-106 for every k; hh + hl = hi is hi split by Veltkamp's step into
+    26-bit halves (see `_times_pow10`).  Scaled so, every entry is normal.
+    """
+    k = np.arange(-360, 361)
+    b = np.floor(k * math.log2(10)).astype(np.int32)  # k * log2(10) is 0.0015 or more from an integer, but at k = 0
+    exact = [Fraction(10) ** int(j) / Fraction(2) ** int(c) for j, c in zip(k, b)]
+    hi = np.array([float(x) for x in exact])
+    lo = np.array([float(x - Fraction(h)) for x, h in zip(exact, hi.tolist())])
+    hh = hi * _SPLIT
+    hh -= hh - hi
+    tables = hi, hh, hi - hh, lo, b
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _times_pow10(x: np.ndarray, index: np.ndarray, scale: np.ndarray, out) -> None:
+    """p + t = x * 10^k * 2^-b to within 2^-103 |p|, for doubles x = 0 or in [1/2, 2^64), where
+    `index` is k + 360 (clipped to `_pow10`'s table) and `scale` gains b.
+
+    Dekker's product: x split by Veltkamp's step into 26-bit halves xh + xl
+    and the table's hh + hl give p + q = x * hi exactly, and t = q + x * lo.
+    The error is the table's, x * 2^-106, and two roundings of terms below
+    2^-51 x.  p and t are out[0] and out[1], out[2:6] scratch, all of x's
+    size; x is left holding xl.
+    """
+    *tables, b = _pow10()
+    p, t, hh, hl, lo, xh = out
+    for row, table in zip((p, hh, hl, lo), tables):
+        np.take(table, index, out=row, mode="clip")
+    p *= x
+    lo *= x
+    np.multiply(x, _SPLIT, out=xh)
+    np.subtract(xh, x, out=t)
+    xh -= t
+    x -= xh
+    np.multiply(xh, hh, out=t)
+    t -= p
+    hh *= x
+    xh *= hl
+    hl *= x
+    for term in (xh, hh, hl, lo):  # t = x * hi - p exactly before lo
+        t += term
+    b_rows = hh.view(np.int32)[: x.size]
+    np.take(b, index, out=b_rows, mode="clip")
+    scale += b_rows
 
 
 class _CsvScratch:
@@ -305,7 +338,7 @@ class _CsvScratch:
     def __init__(self, cells: int):
         self.cells = np.empty(cells)
         self.exp = np.empty(cells, np.intp)
-        self.prod = np.empty(16 * cells, np.uint8)
+        self.words = np.empty((2, cells), np.uint64)
         self.work = np.empty(2 * cells, np.uint64)
         self.flags = np.empty((4, cells), bool)
         self.slots = np.empty((cells, 4), "<u8")
@@ -350,15 +383,16 @@ _CELL_END, _ROW_END = np.uint64(0x2C << 48), np.uint64(0x0A0D << 48)
 def _csv_block(cells: np.ndarray, sc: _CsvScratch) -> bytes:
     """CSV rows of a (rows, cols) block: `'%.17g'` cells, `,` between, CRLF after each row.
 
-    Digits: with e = floor(log10|v|), stepped until 10^16 <= s < 10^17, the
-    product s = |v| * 10^(16-e) in np.longdouble holds the 17 significant
-    digits.  The table entry and the product each round by at most 2^-64
-    relative, so s is within s * 2^-63 (< 0.011) of the exact product, and
-    rounding to the nearest integer is settled unless frac(s) lies within
-    that band of 1/2.  In the band, an exact product (10^(16-e) exact, and the
-    significand's odd part times 5^(16-e) below 2^64) breaks ties to even;
-    every other cell in the band goes through Python's `%.17g` in one batch,
-    as do non-finite cells.  Without a 64-bit np.longdouble every cell does.
+    Digits: with e = floor(log10|v|), the product s = |v| * 10^(16-e) holds
+    the 17 significant digits.  e starts from |v|'s binary exponent, at most
+    one too small, so s < 2 * 10^17; `frexp`'s significand times a `_pow10`
+    pair (`_times_pow10`), scaled by its 2^k, gives s as an integer and a
+    fraction within 2^-46 below 10^17; from 10^17 on (within 2^-45) e steps
+    up and s is divided by 10.  Rounding to the nearest integer is settled unless
+    frac(s) lies within 2^-44 of 1/2.  In that band, a tie (|v| = odd *
+    2^(e-17)) is computed exactly and breaks to even; every other cell in
+    the band goes through Python's `%.17g` in one batch, as do non-finite
+    cells.
 
     Layout follows `%g` on the rounded exponent: fixed notation for
     exponents -4..16, else `e+XX`/`e-XX`, trailing zeros and a bare point
@@ -372,16 +406,15 @@ def _csv_block(cells: np.ndarray, sc: _CsvScratch) -> bytes:
     """
     rows, ncol = cells.shape
     v = cells.ravel()
-    if not _EXTENDED:
-        return ("".join([",".join(["%.17g"] * ncol) + "\r\n"] * rows) % tuple(v.tolist())).encode()
     n = v.size
     work = sc.work[: 2 * n].reshape(2, n)
     d, a = work[0], work[1].view(np.float64)
     e = sc.exp[:n]
-    s = sc.prod[: n * np.dtype(np.longdouble).itemsize].view(np.longdouble)
+    w = sc.words[:, :n]
+    frac = w[0].view(np.float64)
     ok, nonzero, up, flag = sc.flags[:, :n]
     slots, keep = sc.slots[:n], sc.keep[: 32 * n]
-    frac, index = keep[: 4 * n].view(np.float32), keep[8 * n : 16 * n].view(np.intp)
+    tmp = [*slots.view(np.float64).reshape(4, n), *keep.view(np.float64).reshape(4, n)]
 
     np.abs(v, out=a)
     np.isfinite(a, out=ok)
@@ -389,32 +422,37 @@ def _csv_block(cells: np.ndarray, sc: _CsvScratch) -> bytes:
     nonzero &= ok
     np.logical_not(nonzero, out=flag)
     np.copyto(a, 1.0, where=flag)
-    np.log10(a, out=d.view(np.float64))
-    np.floor(d.view(np.float64), out=d.view(np.float64))
-    np.copyto(e, d.view(np.float64), casting="unsafe")
-    pow10 = _pow10()
+    # e = floor(log10(2^(exponent - 1))), floor(log10 a) or one less: 78913 / 2^18 is
+    # log10(2) closely enough for every exponent, so 10^16 <= s < 2 * 10^17.
+    index, scale = tmp[7].view(np.int32).reshape(2, n)
+    np.frexp(a, out=(tmp[6], scale))
+    np.subtract(scale, 1, out=e)
+    e *= 78913
+    e >>= 18
     np.subtract(376, e, out=index)
-    np.take(pow10, index, out=s, mode="clip")
-    s *= a
-    np.copyto(d, s, casting="unsafe")
-    fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
-    e[fix] += np.where(d[fix] < 10**16, -1, 1)
-    s[fix] = a[fix].astype(np.longdouble) * pow10[376 - e[fix]]
-    d[fix] = s[fix].astype(np.uint64)
-    np.subtract(s, d, out=s)
-    np.copyto(frac, s, casting="unsafe")
+    _times_pow10(tmp[6], index, scale, tmp[:6])
+    p, t = tmp[:2]
+    np.ldexp(p, scale, out=p)  # at least 2^53: an integer
+    np.ldexp(t, scale, out=t)
+    np.copyto(d, p, casting="unsafe")
+    np.floor(t, out=p)
+    np.subtract(t, p, out=frac)
+    np.copyto(t.view(np.int64), p, casting="unsafe")
+    d += t.view(np.uint64)
+    # From 10^17 on, e is one more, and the digits are s / 10's.
+    big = np.flatnonzero(d >= 10**17)
+    e[big] += 1
+    frac[big] = (d[big] % 10 + frac[big]) / 10
+    d[big] //= 10
     np.greater(frac, 0.5, out=up)
     frac -= 0.5  # from here on |frac - 1/2|
     np.abs(frac, out=frac)
-    np.less_equal(frac, 0.011, out=flag)
+    np.less_equal(frac, 2.0**-44, out=flag)
     near = np.flatnonzero(flag)
-    near = near[frac[near] <= d[near] * 1.1e-19]
-    k = 16 - e[near]
-    odd = a[near].view(np.uint64) & np.uint64(2**52 - 1) | np.uint64(2**52)
-    odd >>= np.bitwise_count((odd & (~odd + np.uint64(1))) - np.uint64(1))
-    exact = (k >= 0) & (k <= 27) & (odd <= _EXACT_LIMIT[np.clip(k, 0, 27)])
-    up[near] |= exact & (frac[near] == 0) & (d[near] % 2 == 1)
-    ok[near[~exact]] = False
+    # Ties are the cells v = odd * 2^(e - 17), which the pair computes exactly; they break to even.
+    tie = np.ldexp(a[near], 17 - e[near].astype(np.int32)) % 2 == 1
+    up[near] |= tie & (d[near] % 2 == 1)
+    ok[near[~tie]] = False
     d += up
     np.equal(d, 10**17, out=flag)
     np.copyto(d, 10**16, where=flag)
@@ -434,7 +472,6 @@ def _csv_block(cells: np.ndarray, sc: _CsvScratch) -> bytes:
     cls += 5
 
     # Word 0; then digits 1-8 and 9-16 as two integers below 10^8.
-    w = s.view(np.uint64)[: 2 * n].reshape(2, n)
     t, u = keep.view(np.uint64).reshape(2, 2, n)
     np.floor_divide(d, 10**8, out=w[0])
     np.multiply(w[0], 10**8, out=w[1])
@@ -536,7 +573,9 @@ def _cmd_check(args) -> int:
     configured = gamma_gate(cfg.space, params)
 
     if not args.quiet:
+        # The probe reads q row 0 at n = 0 and no row above: the plan keeps fresh copies of those alone.
         plan = _finite_plan(setup)
+        plan = replace(plan, q_vals=plan.q_vals[: 1 if cfg.n == 0 else 0].copy())
         print(f"{'space':<28} {'gamma':<24} contraction")
         for spec in _report_spaces(cfg.space):
             value = gamma_gate(spec, params)
@@ -573,9 +612,7 @@ def _read_solution(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             header = next(csv.reader([first]), None)
             if not header or header[0] != "x":
                 raise ConfigError("<solution>", "expected a CSV header starting with 'x'")
-            matrix = None
-            if _EXTENDED and head.isascii():
-                matrix = _read_csv_body(path, len(head), len(header))
+            matrix = _read_csv_body(path, len(head), len(header)) if head.isascii() else None
             if matrix is None:
                 # np.loadtxt takes the row width from the first body row (it skips empty
                 # lines), which may be wider than the header: the row bound takes the wider.
@@ -644,8 +681,6 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
     a row outside `_GRAMMAR` or the column count.  Raises ConfigError, before it
     allocates the matrix, on a body of more than `_MAX_BODY_CELLS` cells.
     """
-    pow10 = _pow10()
-    signed_pow10 = np.stack([pow10, -pow10], axis=1).ravel()  # +-10^k at 2 * (k + 360) + sign
     with open(path, "rb") as fh:
         fh.seek(offset)
         block = bytearray(_CHUNK_BYTES)
@@ -674,7 +709,7 @@ def _read_csv_body(path: Path, offset: int, ncol: int) -> np.ndarray | None:
                 read = fh.readinto(buf[_PAD:])
             # A file that shrank since the count leaves _BAD zero bytes, which fail the parse.
             buf[_PAD + read :] = 0
-            return _parse_chunk(buf, out[rows[i] : rows[i + 1]], signed_pow10, scratch)
+            return _parse_chunk(buf, out[rows[i] : rows[i + 1]], scratch)
 
         # Closed before the file: every worker is joined, on every path.
         with closing(_pool.ordered_map(parse, range(count), lambda _: _ParseScratch(size, most, ncol))) as parsed:
@@ -702,10 +737,10 @@ class _ParseScratch:
         self.bits = np.empty((6, cells), bool)
         self.small = np.empty(cells, np.uint8)
         self.groups = np.empty(cells, "V24")
-        self.wide = np.empty(max(np.dtype(np.longdouble).itemsize, 24) * cells, np.uint8)
+        self.wide = np.empty(24 * cells, np.uint8)
 
 
-def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, sc: _ParseScratch) -> bool:
+def _parse_chunk(buf: np.ndarray, dest: np.ndarray, sc: _ParseScratch) -> bool:
     """Parse the rows in buf[_PAD:] into dest; False, with dest partly written, off the grammar.
 
     Tokens are the bytes that are not digits, from the LF at buf[_PAD - 1] on;
@@ -715,12 +750,13 @@ def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, sc
     unaligned little-endian uint64 loads ending at the last digit take 24
     bytes, masked to the digits by `_KEEP`.  Lemire's SWAR step turns each
     load's 8 digit bytes into their value.  With k = exponent - fraction
-    digits, r = m * 10^k in np.longdouble, from `_pow10`'s table, is within
-    2^-63 relative of the exact value (two roundings of 2^-64).  If r *
-    _INNER and r * _OUTER, which bracket that interval, round to the same
-    float64, so does the exact value: that float64 is the cell, subnormal and
+    digits, m * 10^k = (p + t) * 2^b to within 2^-102 |p| * 2^b: `_times_pow10`
+    on m's nearest double, and t gains the rest of m times the table's hi.
+    If p + t -+ 2^-100 |p|, which bracket the exact value, round to the same
+    double, so does the exact value, and that double times 2^b is the cell,
     overflowing results included.  Cells whose bracket straddles a rounding
-    midpoint, mantissas past 19 significant digits or 24 digits, and |k| past
+    midpoint, nonzero results below 2^-1022 (where the scaling rounds
+    again), mantissas past 19 significant digits or 24 digits, and |k| past
     the table's 360 go through `float(cell)`, with the dot put back.  The
     arrays the size of the chunk or of its cells are `sc`'s, which must hold them.
     """
@@ -820,14 +856,10 @@ def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, sc
         np.minimum(ndig, 24, out=tmp)
         keep = sc.wide[: 24 * n].view("V24")
         groups &= np.take(_KEEP, tmp, out=keep, mode="clip").view("<u8").reshape(-1, 3)
-        groups *= 2561
-        groups >>= 8
-        groups &= 0x00FF00FF00FF00FF
-        groups *= 6553601
-        groups >>= 16
-        groups &= 0x0000FFFF0000FFFF
-        groups *= 42949672960001
-        groups >>= 32
+        for magic, shift, lanes in ((2561, 8, 0x00FF00FF00FF00FF), (6553601, 16, 0x0000FFFF0000FFFF), (42949672960001, 32, 2**32 - 1)):
+            groups *= magic
+            groups >>= shift
+            groups &= lanes
         np.greater(ndig, 24, out=slow)
         slow |= groups[:, 0] >= 1000
         slow |= index.view(np.uint64) > 720
@@ -837,18 +869,32 @@ def _parse_chunk(buf: np.ndarray, dest: np.ndarray, signed_pow10: np.ndarray, sc
         groups[:, 0] *= 10**16
         m += groups[:, 0]
 
-        r = sc.wide[: n * np.dtype(np.longdouble).itemsize].view(np.longdouble)
-        np.copyto(r, m)
-        p = sc.groups[:n].view(np.uint8)[: r.nbytes].view(np.longdouble)  # the groups are read
-        np.clip(index, 0, 720, out=index)
-        index *= 2
-        index += neg
-        r *= np.take(signed_pow10, index, out=p, mode="clip")
+        # m = x + low exactly, with x the double nearest m; then the groups are read.
+        x, low, y = sc.wide[: 24 * n].view(np.float64).reshape(3, n)
+        np.copyto(x, m)
+        np.copyto(tmp.view(np.uint64), x, casting="unsafe")
+        np.subtract(m, tmp.view(np.uint64), out=tmp.view(np.uint64))
+        np.copyto(low, tmp)
+        np.take(_pow10()[0], index, out=y, mode="clip")
+        low *= y  # low * hi, at most 2^-52 |p|
+        scale = ndig.view(np.int32)[:n]
+        scale[...] = 0
+        out = (*sc.groups[:n].view(np.float64).reshape(3, n), y, mant.view(np.float64), mant_end.view(np.float64))
+        _times_pow10(x, index, scale, out)
+        p, t, u = out[:3]
+        t += low  # m * 10^k within 2^-102 |p|, with low * lo dropped and two more roundings
+        np.multiply(p, 2.0**-100, out=u)
+        np.subtract(t, u, out=y)
+        y += p
+        t += u
+        t += p
+        slow |= np.not_equal(y, t, out=is_cr)
         flat = dest.reshape(-1)
-        np.copyto(flat, np.multiply(r, _INNER, out=p), casting="unsafe")
-        r *= _OUTER
-        np.copyto(tmp.view(np.float64), r, casting="unsafe")
-        slow |= np.not_equal(flat, tmp.view(np.float64), out=is_cr)
+        np.ldexp(y, scale, out=flat)
+        # Below 2^-1022 ldexp rounds again: a nonzero m there goes through float().
+        np.minimum(p, 2.0**-1022, out=u)
+        slow |= np.less(flat, u, out=is_cr)
+        np.negative(flat, out=flat, where=neg)
         for i in np.flatnonzero(slow).tolist():
             a, b = pos[lead[i]] + 1, pos[ends[i]]
             cell = text[a:b].tobytes()

@@ -763,9 +763,6 @@ def test_json_solution_cells_must_be_numbers(tmp_path, capsys, rows, column):
 # the CSV reader: chunks, the loadtxt fallback and the worker threads
 # ---------------------------------------------------------------------------
 
-EXTENDED = pytest.mark.skipif(not cli._EXTENDED, reason="np.longdouble has no 64-bit significand")
-
-
 def _run(argv):
     """(exit code, stdout, stderr) of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
@@ -775,9 +772,9 @@ def _run(argv):
 
 
 def _loadtxt_run(monkeypatch, argv):
-    """main(argv) with every CSV body read by np.loadtxt."""
+    """main(argv) with every CSV body read by np.loadtxt, as when the numpy parser returns None."""
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_EXTENDED", False)
+        patch.setattr(cli, "_read_csv_body", lambda *args: None)
         return _run(argv)
 
 
@@ -787,7 +784,6 @@ def _solved(tmp_path, payload):
     return solution
 
 
-@EXTENDED
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("chunk", ["few-bytes", "one-row", "cuts-cells"])
 @pytest.mark.parametrize("payload", [SCALAR_FINE_CONFIG, CONSTANT_CONFIG], ids=["n0", "n2"])
@@ -802,7 +798,6 @@ def test_eval_output_does_not_depend_on_the_chunks(tmp_path, monkeypatch, payloa
     assert _run(argv) == expected
 
 
-@EXTENDED
 @pytest.mark.parametrize("edit", ["oops", "nan", "-inf", "1E5", "+1", "ragged"])
 @pytest.mark.parametrize("row", [1, -2], ids=["first-chunk", "last-chunk"])
 def test_cells_off_the_grammar_end_as_with_loadtxt(tmp_path, monkeypatch, row, edit):
@@ -819,7 +814,6 @@ def test_cells_off_the_grammar_end_as_with_loadtxt(tmp_path, monkeypatch, row, e
     assert _run(argv) == expected
 
 
-@EXTENDED
 def test_eval_joins_its_workers_and_raises_no_warning(tmp_path, monkeypatch):
     started = []
 
@@ -861,7 +855,7 @@ def test_eval_joins_its_workers_and_raises_no_warning(tmp_path, monkeypatch):
     assert len(started) == 16
 
 
-@pytest.mark.parametrize("fast", [pytest.param(True, marks=EXTENDED), False], ids=["numpy-parser", "loadtxt"])
+@pytest.mark.parametrize("fast", [True, False], ids=["numpy-parser", "loadtxt"])
 def test_eval_refuses_a_body_past_the_cell_bound(tmp_path, monkeypatch, fast):
     solution = tmp_path / "solution.csv"
     solution.write_bytes(b"x,value\r\n" + b"".join(f"{k / 49!r},{k}\r\n".encode() for k in range(50)))
@@ -872,7 +866,8 @@ def test_eval_refuses_a_body_past_the_cell_bound(tmp_path, monkeypatch, fast):
         read.append(loadtxt(*args, **kwargs))
         return read[-1]
 
-    monkeypatch.setattr(cli, "_EXTENDED", fast)
+    if not fast:
+        monkeypatch.setattr(cli, "_read_csv_body", lambda *args: None)
     monkeypatch.setattr(np, "loadtxt", recording)
     monkeypatch.setattr(cli, "_MAX_BODY_CELLS", 100)
     assert _run(["eval", str(solution), "--at", "0.5"])[:2] == (0, "x,value,source\r\n0.5,24.5,interpolated\r\n")
@@ -920,7 +915,7 @@ def test_eval_bounds_the_rows_it_reads_by_the_wider_of_header_and_body(tmp_path,
         read.append(loadtxt(*args, **kwargs))
         return read[-1]
 
-    monkeypatch.setattr(cli, "_EXTENDED", False)  # the numpy parser counts cells before it reads
+    monkeypatch.setattr(cli, "_read_csv_body", lambda *args: None)  # the numpy parser counts cells before it reads
     monkeypatch.setattr(np, "loadtxt", recording)
     monkeypatch.setattr(cli, "_MAX_BODY_CELLS", 4)
     assert _run(["eval", str(solution), "--at", "0.5"]) == (

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -12,9 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clifract import _pool, cli
-
-EXTENDED = pytest.mark.skipif(not cli._EXTENDED, reason="np.longdouble has no 64-bit significand")
-
 
 def _expected(values) -> bytes:
     return b"".join(b"%.17g\r\n" % v for v in np.asarray(values, dtype=float).tolist())
@@ -73,6 +71,11 @@ def test_edges_match_percent_g():
     values = EDGES + [-v for v in EDGES]
     assert _formatted(values) == _expected(values)
     assert _formatted([9.9999999999999999e-5, 9.9999999999999998e16, -0.0]) == b"0.0001\r\n1e+17\r\n-0\r\n"
+    values = np.concatenate([_powers_of_ten(), EDGES, _ties()[:500]])
+    cells = values[: values.size // 2 * 2].reshape(-1, 2)
+    assert cli._csv_block(cells, cli._CsvScratch(cells.size)) == b"".join(
+        b"%.17g,%.17g\r\n" % (x, v) for x, v in cells.tolist()
+    )
 
 
 def test_powers_of_ten_and_their_neighbours_match_percent_g():
@@ -91,26 +94,50 @@ def test_exact_ties_round_half_to_even():
     assert _formatted([1049 / 2**20, 1051 / 2**20]) == b"0.0010004043579101562\r\n0.0010023117065429688\r\n"
 
 
-@EXTENDED
-def test_power_table_is_rounded_to_nearest_at_64_bits():
-    table = cli._pow10()
-    assert table.shape == (721,)
+def test_power_table_pairs_are_within_2_to_the_minus_106_of_the_powers():
+    hi, hh, hl, lo, b = cli._pow10()
+    assert hi.shape == hh.shape == hl.shape == lo.shape == b.shape == (721,)
     for k in range(-360, 361):
-        exact = Fraction(10) ** k
-        top = exact.numerator.bit_length() - exact.denominator.bit_length()
-        if Fraction(2) ** top > exact:
-            top -= 1
-        half_ulp = Fraction(2) ** (top - 64)
-        assert abs(Fraction(*table[k + 360].as_integer_ratio()) - exact) <= half_ulp, k
+        i = k + 360
+        scaled = Fraction(10) ** k / Fraction(2) ** int(b[i])
+        assert 1 <= hi[i] < 2, k
+        assert hi[i] == float(scaled) and lo[i] == float(scaled - Fraction(hi[i])), k
+        assert abs(Fraction(hi[i]) + Fraction(lo[i]) - scaled) <= Fraction(1, 2**106), k
+        # The halves are exact and 26 bits wide: Dekker's products of two halves are exact.
+        assert Fraction(hh[i]) + Fraction(hl[i]) == Fraction(hi[i]), k
+        for half in (hh[i], hl[i]):
+            assert half == 0 or abs(Fraction(half) / Fraction(2) ** (math.frexp(half)[1] - 26)).denominator == 1, k
 
 
-def test_writer_without_extended_precision_gives_the_same_bytes(monkeypatch):
-    values = np.concatenate([_powers_of_ten(), EDGES, _ties()[:500]])
-    cells = values[: values.size // 2 * 2].reshape(-1, 2)
-    fast = cli._csv_block(cells, cli._CsvScratch(cells.size))
-    monkeypatch.setattr(cli, "_EXTENDED", False)
-    assert cli._csv_block(cells, cli._CsvScratch(cells.size)) == fast
-    assert fast == b"".join(b"%.17g,%.17g\r\n" % (x, v) for x, v in cells.tolist())
+# Cells in the grammar `solve` writes: 17 digits, then digits 18-25 (or their first few) within
+# 10^-8 of a half, at exponents -330..308; exact ties j / 2^20 and j / 2^52 (and odd * 2^-(k+1),
+# a tie of 10^k's 17th digit); subnormals; the largest finite values.
+_NEAR_HALF = st.builds(
+    lambda sign, digits, tail, width, exp: b"%s%d.%s%se%+03d" % (sign, digits // 10**16, b"%016d" % (digits % 10**16), tail[:width], exp),
+    st.sampled_from([b"", b"-"]),
+    st.integers(10**16, 10**17 - 1),
+    st.sampled_from([b"49999999", b"50000000", b"50000001"]),
+    st.integers(1, 8),
+    st.integers(-330, 308),
+)
+_TIES = st.one_of(
+    st.builds(lambda j, bits: math.ldexp(j, -bits), st.integers(1, 2**53), st.sampled_from([20, 52])),
+    st.integers(0, 24).flatmap(lambda k: st.integers(2 * 10**16 // 5**k, 2 * 10**17 // 5**k).map(lambda o: math.ldexp(o | 1, -k - 1))),
+    st.integers(1, 2**52 - 1).map(lambda j: j * 5e-324),
+    st.sampled_from([5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+).map(lambda v: b"%.17g" % v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_NEAR_HALF, _TIES), min_size=1, max_size=32))
+def test_both_kernels_near_midpoints_and_on_ties(tmp_path_factory, texts):
+    values = np.array([float(text) for text in texts])
+    written = _formatted(values)
+    assert written == _expected(values)
+    # The reader: the cells above and the cells written, each as float(cell).
+    cells = [cell for cell in texts + written.split(b"\r\n")[:-1] if math.isfinite(float(cell))]
+    if cells:
+        _assert_read_as_float(tmp_path_factory.mktemp("cells"), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +178,6 @@ def _midpoint_cells(count, digits):
     return cells
 
 
-@EXTENDED
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 17))
 def test_reader_gives_float_of_percent_g_cells(tmp_path_factory, bits, precision):
@@ -161,21 +187,21 @@ def test_reader_gives_float_of_percent_g_cells(tmp_path_factory, bits, precision
         _assert_read_as_float(tmp_path_factory.mktemp("cells"), cells)
 
 
-@EXTENDED
 def test_reader_gives_float_near_rounding_midpoints(tmp_path, monkeypatch):
-    # 17-19 digits go through the longdouble product; 20 and more through float().
-    cells = [cell for digits in (17, 18, 19, 20, 21, 25) for cell in _midpoint_cells(400, digits)]
-    _assert_read_as_float(tmp_path, [cell for cell, _ in cells])
-    # Within 2^-13 of a midpoint the product cannot settle the rounding: float() does.
+    # 17-19 digits go through the pair product; 20 and more through float().
+    cells = {digits: _midpoint_cells(400, digits) for digits in (17, 18, 19, 20, 21, 25)}
+    _assert_read_as_float(tmp_path, [cell for found in cells.values() for cell, _ in found])
+    # Within 2^-13 of a midpoint the pair product still settles the rounding of 17-19 digits,
+    # unless the cell is the midpoint.
     settled_by_float = []
     monkeypatch.setattr(cli, "float", lambda text: settled_by_float.append(text) or float(text), raising=False)
-    hard = [cell for cell, distance in cells if distance <= Fraction(1, 8192)]
-    assert len(hard) > 1000
-    _read(tmp_path, hard)
-    assert sorted(settled_by_float) == sorted(hard)
+    hard = {digits: [cell for cell, distance in found if distance <= Fraction(1, 8192)] for digits, found in cells.items()}
+    assert len(hard[18] + hard[19]) > 50 and len(hard[20] + hard[21] + hard[25]) > 1000
+    _read(tmp_path, [cell for found in hard.values() for cell in found])
+    on_midpoint = [cell for digits in (17, 18, 19) for cell, distance in cells[digits] if distance == 0]
+    assert sorted(settled_by_float) == sorted(hard[20] + hard[21] + hard[25] + on_midpoint)
 
 
-@EXTENDED
 def test_reader_gives_float_on_edges(tmp_path):
     twos = np.ldexp(1.0, np.arange(-1074, 1024))
     values = np.concatenate([twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf), EDGES[:-3]])
@@ -195,7 +221,6 @@ def test_reader_gives_float_on_edges(tmp_path):
     ]
 
 
-@EXTENDED
 @pytest.mark.parametrize("ncol", [2, 17])
 def test_reader_matches_loadtxt_on_whole_files(tmp_path, ncol):
     rng = np.random.default_rng(ncol)
@@ -211,7 +236,6 @@ def test_reader_matches_loadtxt_on_whole_files(tmp_path, ncol):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@EXTENDED
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("off_grammar", [False, True], ids=["falling", "falling-off-grammar"])
 @pytest.mark.parametrize("ncol", [2, 17])
@@ -246,7 +270,6 @@ def test_reader_reuses_its_buffers_on_chunks_of_falling_size(tmp_path, monkeypat
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@EXTENDED
 @pytest.mark.parametrize(
     "body",
     [b"", b"0,1\r\n1,2", b"0,1\n1,2\n", b"0,1\r\n1,2,3\r\n", b"0,+1\r\n", b"0,1E5\r\n", b"0, 1\r\n",
@@ -259,7 +282,6 @@ def test_reader_leaves_files_off_its_grammar_to_loadtxt(tmp_path, body):
     assert cli._read_csv_body(path, 9, 2) is None
 
 
-@EXTENDED
 def test_reader_leaves_rows_of_mebibytes_to_loadtxt(tmp_path):
     path = tmp_path / "solution.csv"
     path.write_bytes(b"x,value\r\n0,1\r\n1," + b"1" * (1 << 21) + b"\r\n")
@@ -276,7 +298,6 @@ def _n0_solution(path, rows):
     return np.column_stack(columns)
 
 
-@EXTENDED
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("chunk_bytes", [64, 1 << 10, 1 << 14])
 def test_reader_does_not_depend_on_how_far_ahead_the_map_takes_chunks(tmp_path, monkeypatch, chunk_bytes, cpus):
@@ -303,7 +324,6 @@ def _eval(path):
     return code, out.getvalue(), err.getvalue()
 
 
-@EXTENDED
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_a_body_that_shrinks_between_the_count_and_the_parse_goes_to_loadtxt(tmp_path, monkeypatch, cpus):
     """The file loses about half its body, within the x cell of a row, after the

@@ -396,14 +396,13 @@ def test_the_writer_peaks_at_a_block_per_worker(tmp_path, monkeypatch, n, cpus):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not cli._EXTENDED, reason="np.longdouble has no 64-bit significand")
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_the_reader_peaks_at_its_matrix_and_a_few_chunks_per_worker(tmp_path, monkeypatch, cpus):
     """The CSV reader's traced peak is its matrix plus 20 `_CHUNK_BYTES` per worker,
     at two body lengths: no temporary grows with the body.
 
     Each worker holds one set of scratch arrays sized for the largest chunk, its
-    chunk buffer included, 12.3-15.8 chunk sizes with the reader's fixed tables
+    chunk buffer included, 11.5-13.4 chunk sizes with the reader's fixed tables
     (measured here on n = 0 solve output).  tracemalloc sees numpy's buffers
     only, not the pages each worker's malloc arena keeps once they are freed,
     which RSS counts.
